@@ -42,8 +42,7 @@ from .moe import (
     dense_ffn_forward,
     expert_load_report,
     expert_load_std,
-    mixlora_forward_optimized,
-    mixlora_forward_vanilla,
+    mixlora_forward,
     route,
 )
 from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_forward, multi_train_step

@@ -2,9 +2,9 @@
 
 The ledger verifies the complexity claim exactly: per token and layer the
 vanilla path spends 3k base GEMM-token units against (2+k) for the shared
-path, a (2+k)/(3k) ratio (2/3 at k=2). Wall-clock numbers are directional
-only and measured on the expert-mixture block itself, where the two paths
-differ; they use float32, the benchmark precision.
+path, a (2+k)/(3k) ratio (2/3 at k=2). Wall-clock numbers are measured on
+the expert-mixture block itself, where the two paths differ, in float32, the
+benchmark precision; the end-to-end benchmark lives in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ def compare_report(vanilla: LatencyReport, optimized: LatencyReport) -> dict:
     """Percent columns with the vanilla report as the 100% baseline."""
     if vanilla.config_hash != optimized.config_hash or vanilla.phase != optimized.phase:
         raise ContractError("compare_report: reports come from different runs")
-    pct = 100.0 * optimized.us_per_token / vanilla.us_per_token
+    pct = 100.0 * (optimized.us_per_token / vanilla.us_per_token)  # exactly 100 for equal times
     out = {
         "phase": vanilla.phase,
         "tokens": vanilla.tokens,

@@ -3,7 +3,9 @@
 A frozen projection keeps its weight ``W`` bit-identical through training;
 all learning lives in the adapter pair ``(A, B)`` whose delta
 ``(alpha/rank) * B A x`` starts at exactly zero because ``B`` is
-zero-initialized.
+zero-initialized. ``lora_delta`` applies the ``alpha/rank`` scaling to the
+rank-r intermediate ``A x``, where it touches rank rather than d_out values
+per row.
 """
 
 from __future__ import annotations
@@ -97,13 +99,12 @@ def lora_delta(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """(alpha/rank) * B (A drop(x)); dropout hits the adapter input only."""
+    """B ((alpha/rank) * A drop(x)); dropout hits the adapter input only."""
     if x.ndim != 2 or x.shape[1] != adapter.d_in:
         raise DimensionError(f"lora_delta: input {x.shape} vs d_in {adapter.d_in}")
     h = dropout(x, adapter.dropout_p, rng, training)
-    u = matmul(h, transpose(adapter.a))
-    v = matmul(u, transpose(adapter.b))
-    return scale(v, adapter.scaling)
+    u = scale(matmul(h, transpose(adapter.a)), adapter.scaling)
+    return matmul(u, transpose(adapter.b))
 
 
 def adapted_forward(

@@ -2,13 +2,28 @@
 
 Every expert is the same frozen (W1, W3, W2) block plus an expert-specific
 LoRA triple; a linear-softmax router picks the top-k experts per token and
-renormalizes their gates. Two forward paths compute identical outputs:
+renormalizes their gates. ``mixlora_forward`` computes the same output two
+ways, selected by ``shared_base``:
 
-* vanilla: each expert runs the full FFN on its routed token subset, so the
-  base projections are recomputed per expert (3*k GEMM-token units).
-* optimized: the base W1/W3 products are computed once for all tokens and
-  sliced per expert; only the LoRA deltas and the W2 projection remain
-  per-expert work ((2+k) GEMM-token units).
+* off (mode "vanilla"): each expert runs the full FFN on its routed token
+  subset, so the base projections are recomputed per expert (3*k GEMM-token
+  units).
+* on (mode "optimized"): the base W1/W3 products are computed once for all
+  tokens and gathered per expert; only the LoRA deltas and the W2 projection
+  remain per-expert work ((2+k) GEMM-token units).
+
+Dispatch is sort-based: one stable argsort of the flattened [T, k] expert
+choices groups the (token, expert) pairs into contiguous per-expert segments,
+each in ascending token order, with segment bounds from a bincount. The
+experts' W2 inputs are concatenated in that sorted order and pass through the
+frozen W2 in one GEMM (the same rows and multiply-adds as one GEMM per
+expert); the rows, plus their W2 LoRA deltas, are scaled by their gates in
+one op and combined by k row gathers through the inverse permutation.
+
+Dropout masks are drawn from ``rng`` in a fixed order: experts ascending, and
+within an expert the w1 adapter input, then w3, then w2, each mask covering
+the expert's rows in ascending token order. Experts that receive no token
+draw nothing.
 """
 
 from __future__ import annotations
@@ -22,11 +37,11 @@ from .lora import FrozenLinear, LoraAdapter, lora_delta
 from .numerics import (
     Tensor,
     add,
+    concat_rows,
     flop_labels,
     matmul,
     mul,
     scale_rows,
-    scatter_rows,
     silu,
     softmax_lastdim,
     sum_all,
@@ -225,11 +240,9 @@ class MixLoraBlock:
 
     def forward(self, h: Tensor, mode: str, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, RoutingStats]:
-        if mode == "vanilla":
-            return mixlora_forward_vanilla(self, h, training, rng)
-        if mode == "optimized":
-            return mixlora_forward_optimized(self, h, training, rng)
-        raise ContractError(f"unknown forward mode {mode!r}")
+        if mode not in ("vanilla", "optimized"):
+            raise ContractError(f"unknown forward mode {mode!r}")
+        return mixlora_forward(self, h, mode == "optimized", training, rng)
 
 
 def _adapted(frozen: FrozenLinear, adapter: LoraAdapter, x: Tensor, proj: str,
@@ -241,67 +254,59 @@ def _adapted(frozen: FrozenLinear, adapter: LoraAdapter, x: Tensor, proj: str,
     return add(base, delta)
 
 
-def _expert_rows(sel: np.ndarray, k: int) -> np.ndarray:
-    # Token indices routed to expert k, ascending for determinism.
-    return np.nonzero((sel == k).any(axis=1))[0]
+def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
+                    training: bool = False, rng: np.random.Generator | None = None
+                    ) -> tuple[Tensor, RoutingStats]:
+    """Routed expert mixture over the rows of h, by sorted dispatch.
 
-
-def _accumulate(out: Tensor | None, expert_out: Tensor, gates: Tensor,
-                idx: np.ndarray, k: int, n_rows: int) -> Tensor:
-    gk = take_elems(gates, idx, k)
-    contrib = scatter_rows(scale_rows(expert_out, gk), idx, n_rows)
-    return contrib if out is None else add(out, contrib)
-
-
-def mixlora_forward_vanilla(block: MixLoraBlock, h: Tensor, training: bool = False,
-                            rng: np.random.Generator | None = None
-                            ) -> tuple[Tensor, RoutingStats]:
-    """Per-expert full FFN on pre-allocated token subsets."""
+    With shared_base the frozen W1/W3 products are computed once for all
+    tokens and gathered per expert; without it each expert recomputes them
+    on its own rows (the reference path).
+    """
+    ffn = block.ffn
     with flop_labels(layer=block.layer_index):
-        gates, probs, stats = route(block.router, h, block.count_topk_dispatch)
+        gates, _, stats = route(block.router, h, block.count_topk_dispatch)
         sel = stats.topk_indices
-        out = None
-        for k in range(block.n_experts):
-            idx = _expert_rows(sel, k)
-            if idx.size == 0:
+        n_tok, top_k = sel.shape
+        flat = sel.ravel()
+        order = np.argsort(flat, kind="stable")
+        tok = order // top_k
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=block.n_experts))))
+        if shared_base:
+            with flop_labels(projection="w1", source="base"):
+                h1_all = ffn.w1.apply(h)
+            with flop_labels(projection="w3", source="base"):
+                h3_all = ffn.w3.apply(h)
+        mids, d2s = [], []
+        for e in range(block.n_experts):
+            rows = tok[bounds[e]:bounds[e + 1]]
+            if rows.size == 0:
                 continue
-            triple = block.experts[k]
-            xk = take_rows(h, idx)
-            h1 = _adapted(block.ffn.w1, triple.w1, xk, "w1", training, rng)
-            h3 = _adapted(block.ffn.w3, triple.w3, xk, "w3", training, rng)
-            gmid = mul(silu(h1), h3)
-            ek = _adapted(block.ffn.w2, triple.w2, gmid, "w2", training, rng)
-            out = _accumulate(out, ek, gates, idx, k, h.shape[0])
-    return out, stats
-
-
-def mixlora_forward_optimized(block: MixLoraBlock, h: Tensor, training: bool = False,
-                              rng: np.random.Generator | None = None
-                              ) -> tuple[Tensor, RoutingStats]:
-    """Shared-computation path: base W1/W3 once for all tokens, sliced per expert."""
-    with flop_labels(layer=block.layer_index):
-        gates, probs, stats = route(block.router, h, block.count_topk_dispatch)
-        sel = stats.topk_indices
-        with flop_labels(projection="w1", source="base"):
-            h1_all = block.ffn.w1.apply(h)
-        with flop_labels(projection="w3", source="base"):
-            h3_all = block.ffn.w3.apply(h)
-        out = None
-        for k in range(block.n_experts):
-            idx = _expert_rows(sel, k)
-            if idx.size == 0:
-                continue
-            triple = block.experts[k]
-            xk = take_rows(h, idx)
-            with flop_labels(projection="w1", source="lora"):
-                d1 = lora_delta(triple.w1, xk, training, rng)
-            with flop_labels(projection="w3", source="lora"):
-                d3 = lora_delta(triple.w3, xk, training, rng)
-            h1 = add(take_rows(h1_all, idx), d1)
-            h3 = add(take_rows(h3_all, idx), d3)
-            gmid = mul(silu(h1), h3)
-            ek = _adapted(block.ffn.w2, triple.w2, gmid, "w2", training, rng)
-            out = _accumulate(out, ek, gates, idx, k, h.shape[0])
+            triple = block.experts[e]
+            xe = take_rows(h, rows)
+            if shared_base:
+                with flop_labels(projection="w1", source="lora"):
+                    h1 = add(take_rows(h1_all, rows), lora_delta(triple.w1, xe, training, rng))
+                with flop_labels(projection="w3", source="lora"):
+                    h3 = add(take_rows(h3_all, rows), lora_delta(triple.w3, xe, training, rng))
+            else:
+                h1 = _adapted(ffn.w1, triple.w1, xe, "w1", training, rng)
+                h3 = _adapted(ffn.w3, triple.w3, xe, "w3", training, rng)
+            mid = mul(silu(h1), h3)
+            with flop_labels(projection="w2", source="lora"):
+                d2s.append(lora_delta(triple.w2, mid, training, rng))
+            mids.append(mid)
+        # W2 is the same frozen matrix for every expert: one GEMM over all
+        # sorted rows replaces one per expert.
+        with flop_labels(projection="w2", source="base"):
+            y = add(ffn.w2.apply(concat_rows(mids)), concat_rows(d2s))
+        y = scale_rows(y, take_elems(gates, tok, flat[order]))
+        # Sorted position of each (token, slot) pair: row t of the output sums
+        # the k rows of y at inv[t].
+        inv = np.argsort(order).reshape(n_tok, top_k)
+        out = take_rows(y, inv[:, 0])
+        for j in range(1, top_k):
+            out = add(out, take_rows(y, inv[:, j]))
     return out, stats
 
 

@@ -243,12 +243,16 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e) for x >= 0 and e/(1+e) for x < 0, with e = exp(-|x|) <= 1 so
+    # nothing overflows. The numerator max(e, x >= 0) picks 1 or e without
+    # boolean-mask indexing, which costs an order of magnitude more time.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    np.divide(num, e, out=e)
+    return e
 
 
 def silu(a: Tensor) -> Tensor:
@@ -364,28 +368,12 @@ def take_rows(a: Tensor, idx) -> Tensor:
         def bwd(g, a=a, idx=idx):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
+            if np.unique(idx).size == idx.size:
+                a.grad[idx] += g  # no repeats, so the buffered add loses nothing
+            else:
+                np.add.at(a.grad, idx, g)
 
         tape._record(out, (a,), bwd)
-    return out
-
-
-def scatter_rows(v: Tensor, idx, n_rows: int) -> Tensor:
-    """Place rows of v at positions idx in an [n_rows, D] zero tensor."""
-    if v.ndim != 2:
-        raise DimensionError(f"scatter_rows: need 2-D, got {v.shape}")
-    idx = np.asarray(idx, dtype=np.intp)
-    data = np.zeros((n_rows, v.shape[1]), dtype=v.dtype)
-    np.add.at(data, idx, v.data)
-    out = Tensor(data)
-    tape = _tape_for(v)
-    if tape is not None:
-        out.requires_grad = True
-
-        def bwd(g, v=v, idx=idx):
-            _accum(v, g[idx])
-
-        tape._record(out, (v,), bwd)
     return out
 
 

@@ -14,8 +14,7 @@ from mixlora.moe import (
     dense_ffn_forward,
     expert_load_report,
     expert_load_std,
-    mixlora_forward_optimized,
-    mixlora_forward_vanilla,
+    mixlora_forward,
     route,
 )
 from mixlora.numerics import Tape, Tensor, backward, sum_all, mul
@@ -23,7 +22,7 @@ from conftest import fd_grad, max_rel_err
 
 
 def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
-               zero_adapters=False, aux_coef=0.01):
+               zero_adapters=False, aux_coef=0.01, dropout_p=0.0):
     def lin(rows, cols):
         return FrozenLinear(rng.normal(0, 0.5, (rows, cols)))
 
@@ -31,7 +30,7 @@ def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
         a = Tensor(rng.normal(0, 0.4, (rank, d_in)), requires_grad=True)
         b_data = np.zeros((d_out, rank)) if zero_adapters else rng.normal(0, 0.4, (d_out, rank))
         b = Tensor(b_data, requires_grad=True)
-        return LoraAdapter(a, b, rank, alpha)
+        return LoraAdapter(a, b, rank, alpha, dropout_p)
 
     ffn = SharedFfn(lin(dff, d), lin(dff, d), lin(d, dff))
     triples = [ExpertTriple(adapter(d, dff), adapter(d, dff), adapter(dff, d))
@@ -201,7 +200,7 @@ def test_aux_loss_differentiable_through_probs(rng):
 def test_vanilla_with_zero_adapters_is_plain_ffn(rng):
     block = make_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(12, 6)))
-    out, _ = mixlora_forward_vanilla(block, h)
+    out, _ = mixlora_forward(block, h, shared_base=False)
     plain = dense_ffn_forward(block.ffn, h)
     assert np.abs(out.data - plain.data).max() < 1e-12
 
@@ -210,7 +209,7 @@ def test_two_experts_full_routing_averages_outputs(rng):
     block = make_block(rng, n_experts=2, top_k=2)
     block.router.wr.data[...] = 0.0  # symmetric logits: gates are 0.5/0.5
     h = Tensor(rng.normal(size=(6, 6)))
-    out, _ = mixlora_forward_vanilla(block, h)
+    out, _ = mixlora_forward(block, h, shared_base=False)
     avg = 0.5 * (naive_single_expert(block, h.data, 0)
                  + naive_single_expert(block, h.data, 1))
     assert np.abs(out.data - avg).max() < 1e-10
@@ -235,7 +234,7 @@ def naive_single_expert(block, h, k):
 def test_vanilla_matches_naive_loop_oracle(rng):
     block = make_block(rng)
     h = Tensor(rng.uniform(-1, 1, (20, 6)))
-    out, _ = mixlora_forward_vanilla(block, h)
+    out, _ = mixlora_forward(block, h, shared_base=False)
     assert np.abs(out.data - naive_mixlora(block, h.data)).max() < 1e-10
 
 
@@ -243,8 +242,8 @@ def test_optimized_matches_vanilla(rng):
     for n, k in ((2, 1), (4, 2), (8, 3)):
         block = make_block(rng, n_experts=n, top_k=k)
         h = Tensor(rng.uniform(-1, 1, (30, 6)))
-        out_v, st_v = mixlora_forward_vanilla(block, h)
-        out_o, st_o = mixlora_forward_optimized(block, h)
+        out_v, st_v = mixlora_forward(block, h, shared_base=False)
+        out_o, st_o = mixlora_forward(block, h, shared_base=True)
         assert np.abs(out_v.data - out_o.data).max() < 1e-9
         assert np.array_equal(st_v.dispatch_counts, st_o.dispatch_counts)
 
@@ -252,15 +251,13 @@ def test_optimized_matches_vanilla(rng):
 def test_optimized_with_zero_adapters_is_plain_ffn(rng):
     block = make_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(9, 6)))
-    out, _ = mixlora_forward_optimized(block, h)
+    out, _ = mixlora_forward(block, h, shared_base=True)
     plain = dense_ffn_forward(block.ffn, h)
     assert np.abs(out.data - plain.data).max() < 1e-12
 
 
-def test_block_gradients_vs_finite_differences(rng):
-    block = make_block(rng, d=5, dff=7, n_experts=3, top_k=2, rank=2)
-    h_data = rng.uniform(-1, 1, (8, 5))
-    w = rng.normal(size=(8, 5))
+def check_block_gradients(block, h_data, w):
+    """Taped gradients of every block parameter vs finite differences, both modes."""
     params = [block.router.wr] + block.experts.parameters()
 
     def build(mode):
@@ -272,12 +269,97 @@ def test_block_gradients_vs_finite_differences(rng):
         with tape:
             loss = build(mode)
         backward(tape, loss)
-        analytic = [p.grad.copy() for p in params]
+        # An expert no token reaches stays off the tape: no grad, read as zero.
+        analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                    for p in params]
         for p in params:
             p.grad = None
         for p, got in zip(params, analytic):
             fd = fd_grad(lambda: build(mode).item(), p)
             assert max_rel_err(got, fd) < 1e-4
+
+
+def test_block_gradients_vs_finite_differences(rng):
+    block = make_block(rng, d=5, dff=7, n_experts=3, top_k=2, rank=2)
+    h_data = rng.uniform(-1, 1, (8, 5))
+    w = rng.normal(size=(8, 5))
+    check_block_gradients(block, h_data, w)
+
+
+def test_block_gradients_with_an_empty_expert_segment(rng):
+    block = make_block(rng, d=5, dff=7, n_experts=3, top_k=2, rank=2)
+    block.router.wr.data[2] = -20.0  # positive inputs never pick expert 2
+    h_data = rng.uniform(0.1, 1.0, (8, 5))
+    _, _, stats = route(block.router, Tensor(h_data))
+    assert not (stats.topk_indices == 2).any()
+    check_block_gradients(block, h_data, rng.normal(size=(8, 5)))
+
+
+# Routings at the edges of sorted dispatch: name -> (n_experts, top_k, forced
+# expert, router weight). With positive inputs a large positive router row
+# wins every token and a large negative one loses every token.
+EDGE_ROUTINGS = {
+    "empty_expert": (4, 2, 3, -20.0),
+    "all_to_one_expert": (4, 1, 1, 20.0),
+    "top_k_equals_n_experts": (4, 4, None, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_ROUTINGS))
+def test_edge_routings_match_vanilla_and_oracle(rng, name):
+    n, k, forced, weight = EDGE_ROUTINGS[name]
+    block = make_block(rng, n_experts=n, top_k=k)
+    if forced is not None:
+        block.router.wr.data[forced] = weight
+    h = Tensor(rng.uniform(0.1, 1.0, (20, 6)))
+    out_v, stats = mixlora_forward(block, h, shared_base=False)
+    out_o, _ = mixlora_forward(block, h, shared_base=True)
+    if forced is not None:
+        routed = int((stats.topk_indices == forced).any(axis=1).sum())
+        assert routed == (20 if weight > 0 else 0)
+    assert np.abs(out_v.data - out_o.data).max() < 1e-9
+    assert np.abs(out_v.data - naive_mixlora(block, h.data)).max() < 1e-10
+
+
+def reference_dropout_forward(block: MixLoraBlock, h: np.ndarray,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Training-mode block output, drawing dropout masks in the documented
+    order: experts ascending; per expert w1, w3, then w2; rows by token."""
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    def delta(adapter, x):
+        p = adapter.dropout_p
+        mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+        return adapter.scaling * (((x * mask) @ adapter.a.data.T) @ adapter.b.data.T)
+
+    gates, _, stats = route(block.router, Tensor(h))
+    sel = stats.topk_indices
+    w1, w3, w2 = (block.ffn.w1.w.data, block.ffn.w3.w.data, block.ffn.w2.w.data)
+    out = np.zeros_like(h)
+    for e in range(block.n_experts):
+        rows = np.nonzero((sel == e).any(axis=1))[0]
+        if rows.size == 0:
+            continue
+        tri = block.experts[e]
+        x = h[rows]
+        h1 = x @ w1.T + delta(tri.w1, x)
+        h3 = x @ w3.T + delta(tri.w3, x)
+        mid = (h1 * sigmoid(h1)) * h3
+        out[rows] += gates.data[rows, e][:, None] * (mid @ w2.T + delta(tri.w2, mid))
+    return out
+
+
+def test_dropout_masks_follow_the_documented_draw_order(rng):
+    block = make_block(rng, dropout_p=0.3)
+    h = rng.uniform(-1, 1, (20, 6))
+    expect = reference_dropout_forward(block, h, np.random.default_rng(7))
+    no_dropout, _ = mixlora_forward(block, Tensor(h), shared_base=True)
+    assert np.abs(no_dropout.data - expect).max() > 1e-2
+    for shared_base in (False, True):
+        out, _ = mixlora_forward(block, Tensor(h), shared_base, training=True,
+                                 rng=np.random.default_rng(7))
+        assert np.abs(out.data - expect).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
