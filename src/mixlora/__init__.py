@@ -27,7 +27,6 @@ from .model import (
     ToyModel,
     build_model,
     model_loss,
-    train_step,
     trainable_parameter_count,
 )
 from .moe import (
@@ -49,6 +48,6 @@ from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_for
 from .numerics import Tape, Tensor, backward
 from .optim import Adam
 from .tasks import SyntheticTask, default_tasks, evaluate, make_batch, mixed_batch, sample_batch
-from .train import evaluate_tasks, train
+from .train import evaluate_tasks, train, train_step
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractError
 from .lora import FrozenLinear
 from .model import AdapterSet, ModelConfig
-from .moe import MixLoraBlock, SharedFfn
+from .moe import MODES, MixLoraBlock, SharedFfn
 from .numerics import Tape, Tensor, backward, set_flop_hook, sum_all
 
 BASE, LORA, ROUTER = "base", "lora", "router"
@@ -71,7 +71,7 @@ class FlopLedger:
 
 def count_flops(config: ModelConfig, tokens: int, mode: str) -> FlopLedger:
     """Analytic ledger for one expert-mixture block processing `tokens` rows."""
-    if mode not in ("vanilla", "optimized"):
+    if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}")
     d, dff = config.d_model, config.d_ff
     k, n, r = config.top_k, config.n_experts, config.lora_rank
@@ -129,8 +129,7 @@ def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32,
-               randomize: bool = True) -> MixLoraBlock:
+def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MixLoraBlock:
     """A standalone block at the model's dimensions with its own tiny base."""
     rng = np.random.default_rng([int(seed), 4])
     d, dff = config.d_model, config.d_ff
@@ -139,12 +138,11 @@ def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32,
         return FrozenLinear(rng.normal(0.0, 0.02, size=(rows, cols)).astype(dtype))
 
     ffn = SharedFfn(lin(dff, d), lin(dff, d), lin(d, dff))
-    aset = AdapterSet.create(config, "bench", seed, "mixlora", None, dtype)
+    aset = AdapterSet.create(config, "bench", seed, dtype=dtype)
     la = aset.layers[0]
-    if randomize:
-        for triple in la.experts.triples:
-            for ad in (triple.w1, triple.w3, triple.w2):
-                ad.b.data[...] = rng.normal(0.0, 0.02, size=ad.b.shape).astype(dtype)
+    for triple in la.experts.triples:
+        for ad in (triple.w1, triple.w3, triple.w2):
+            ad.b.data[...] = rng.normal(0.0, 0.02, size=ad.b.shape).astype(dtype)
     return MixLoraBlock(la.router, ffn, la.experts,
                         aux_coef=config.aux_coef, layer_index=0)
 
@@ -158,6 +156,19 @@ def measure_latency(config: ModelConfig, mode: str, phase: str,
     backward  - backward sweep only (forward re-recorded outside the timer)
     inference - forward with no recording
     """
+    return _time_modes(config, [mode], phase, warmup_iters, timed_iters,
+                       tokens, seed)[mode]
+
+
+def _time_modes(config: ModelConfig, modes: list[str], phase: str,
+                warmup_iters: int, timed_iters: int, tokens: int,
+                seed: int) -> dict[str, LatencyReport]:
+    """One report per mode, timed in interleaved rounds on one block.
+
+    Each round times one iteration of every mode and the mode that goes first
+    alternates between rounds, so a host that slows down mid-run slows every
+    mode alike instead of whichever ran last.
+    """
     if timed_iters < 1:
         raise ContractError("timed_iters must be >= 1")
     if phase not in ("forward", "backward", "inference"):
@@ -169,7 +180,7 @@ def measure_latency(config: ModelConfig, mode: str, phase: str,
               for t in (triple.w1.a, triple.w1.b, triple.w3.a, triple.w3.b,
                         triple.w2.a, triple.w2.b)] + [block.router.wr]
 
-    def one_iter() -> float:
+    def one_iter(mode: str) -> float:
         for p in params:
             p.grad = None
         if phase == "inference":
@@ -190,20 +201,25 @@ def measure_latency(config: ModelConfig, mode: str, phase: str,
         backward(tape, loss)
         return time.perf_counter() - t0
 
-    for _ in range(warmup_iters):
-        one_iter()
-    samples = [one_iter() for _ in range(timed_iters)]
-    samples_us = [s * 1e6 / tokens for s in samples]
-    wall = statistics.median(samples)
-    return LatencyReport(
-        mode=mode,
-        phase=phase,
-        tokens=tokens,
-        wall_time_s=wall,
-        us_per_token=wall * 1e6 / tokens,
-        samples_us_per_token=samples_us,
-        config_hash=config_hash(config),
-    )
+    samples: dict[str, list[float]] = {m: [] for m in modes}
+    for i in range(warmup_iters + timed_iters):
+        for mode in (modes if i % 2 == 0 else modes[::-1]):
+            s = one_iter(mode)
+            if i >= warmup_iters:
+                samples[mode].append(s)
+    reports = {}
+    for mode, secs in samples.items():
+        wall = statistics.median(secs)
+        reports[mode] = LatencyReport(
+            mode=mode,
+            phase=phase,
+            tokens=tokens,
+            wall_time_s=wall,
+            us_per_token=wall * 1e6 / tokens,
+            samples_us_per_token=[s * 1e6 / tokens for s in secs],
+            config_hash=config_hash(config),
+        )
+    return reports
 
 
 def verify_mode_equivalence(config: ModelConfig, tokens: int = 256,
@@ -246,7 +262,7 @@ def run_bench(config: ModelConfig, modes: list[str], models: int = 1,
     if models < 1:
         raise ContractError("models must be >= 1")
     for m in modes:
-        if m not in ("vanilla", "optimized"):
+        if m not in MODES:
             raise ContractError(f"unknown mode {m!r}")
     verify_mode_equivalence(config, tokens=min(tokens, 256), seed=seed)
     flops = {m: count_flops(config, tokens, m).by_source() for m in modes}
@@ -262,20 +278,14 @@ def run_bench(config: ModelConfig, modes: list[str], models: int = 1,
         ratio = base_flop_ratio(config)
         result["flop_ratio"] = float(ratio)
         result["flop_ratio_exact"] = f"{ratio.numerator}/{ratio.denominator}"
-    reports: dict[tuple[str, str], LatencyReport] = {}
     for phase in phases:
+        timed = _time_modes(config, modes, phase, warmup_iters, timed_iters, tokens, seed)
         for mode in modes:
-            rep = measure_latency(config, mode, phase, warmup_iters, timed_iters,
-                                  tokens, seed)
-            rep.flops = flops[mode]
-            reports[(mode, phase)] = rep
-            result["reports"].append(rep.to_dict())
-    if "vanilla" in modes and "optimized" in modes:
-        result["comparison"] = {
-            phase: compare_report(reports[("vanilla", phase)],
-                                  reports[("optimized", phase)])["percent"]
-            for phase in phases
-        }
+            timed[mode].flops = flops[mode]
+            result["reports"].append(timed[mode].to_dict())
+        if "vanilla" in timed and "optimized" in timed:
+            result["comparison"][phase] = compare_report(timed["vanilla"],
+                                                         timed["optimized"])["percent"]
     result["memory"] = _bench_memory(config, models, seed)
     return result
 

@@ -103,8 +103,7 @@ def read_records(path: str) -> tuple[RunConfig, dict[str, np.ndarray]]:
 def load_checkpoint(path: str) -> tuple[RunConfig, ToyModel]:
     """Rebuild a model and restore every tensor bit-exactly."""
     config, tensors = read_records(path)
-    model = build_model(config.model(), seed=config.seed, dtype=config.dtype,
-                        lr=config.lr, aux_coef=config.aux_coef)
+    model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
     named = dict(named_model_tensors(model))
     missing = sorted(set(named) - set(tensors))
     extra = sorted(set(tensors) - set(named))

@@ -17,7 +17,7 @@ from .bench import run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .moe import RoutingStats, expert_load_report
+from .moe import MODES, RoutingStats, expert_load_report, expert_load_std
 from .tasks import default_tasks, evaluate, required_vocab
 from .train import evaluate_tasks, train
 
@@ -34,7 +34,7 @@ def _parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one adapter set and write a checkpoint")
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--mode", choices=("vanilla", "optimized"))
+    t.add_argument("--mode", choices=MODES)
     t.add_argument("--multitask", action="store_true",
                    help="mix every configured task into each batch")
 
@@ -44,7 +44,7 @@ def _parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="flop ledger, latency, and memory comparison")
     b.add_argument("--config", required=True)
-    b.add_argument("--modes", default="vanilla,optimized")
+    b.add_argument("--modes", default=",".join(MODES))
     b.add_argument("--models", type=int, default=1)
     b.add_argument("--tokens", type=int, default=512)
     b.add_argument("--warmup-iters", type=int, default=3)
@@ -106,7 +106,7 @@ def cmd_eval(args) -> int:
     merged = RoutingStats.merge(stats) if stats else None
     out = {"task": task.name, "accuracy": acc}
     if stats:
-        out["expert_load_std"] = [float(st.dispatch_fractions().std()) for st in stats]
+        out["expert_load_std"] = [expert_load_std(st) for st in stats]
         out["records"] = expert_load_report({task.name: merged})
     print(json.dumps(out))
     return 0

@@ -1,26 +1,48 @@
-"""Run configuration: model dimensions plus training fields plus tasks.
+"""Configuration: one dataclass hierarchy, validated in one chain.
 
-Config files are flat JSON objects; unknown keys are rejected before any
-allocation. Round-tripping through ``to_dict``/``from_dict`` is lossless.
+``ModelConfig`` holds the model dimensions and adapter hyper-parameters.
+``RunConfig`` extends it with the training fields and the task list;
+``RunConfig.model()`` returns the plain ``ModelConfig`` part. Config files are
+flat JSON objects of ``RunConfig`` fields. Unknown keys are rejected before any
+allocation, and every value is checked against its declared type: a bool is
+not an int, and floats must be finite. Round-tripping through
+``to_dict``/``from_dict`` is lossless.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import ModelConfig
+from .moe import MODES
 
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
-MODES = ("vanilla", "optimized")
+
+
+def _finite_number(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# declared field type -> (check, description); bool is an int subclass in Python
+_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: not isinstance(v, bool) and _finite_number(v), "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (lambda v: isinstance(v, tuple) and all(isinstance(s, str) for s in v),
+                        "a list of task names"),
+}
 
 
 @dataclass
-class RunConfig:
-    # model
+class ModelConfig:
     vocab_size: int = 8192
     d_model: int = 64
     n_heads: int = 4
@@ -33,30 +55,66 @@ class RunConfig:
     dropout_p: float = 0.05
     aux_coef: float = 1e-2
     max_seq_len: int = 64
-    dropout_scope: str = "both"
+    dropout_scope: str = "both"  # both | attention | experts
     router_count_topk: bool = False
-    # training
+
+    def validate(self) -> "ModelConfig":
+        for f in fields(self):
+            check, description = _TYPES[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise ConfigError(f"{f.name} must be {description}, got {value!r}")
+        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "n_layers",
+                     "n_experts", "top_k", "lora_rank", "max_seq_len"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(
+                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
+            )
+        if self.n_experts < 2:
+            raise ConfigError(f"n_experts must be >= 2, got {self.n_experts}")
+        if self.top_k > self.n_experts:
+            raise ConfigError(
+                f"top_k {self.top_k} exceeds n_experts {self.n_experts}"
+            )
+        if self.lora_rank > min(self.d_model, self.d_ff):
+            raise ConfigError(
+                f"lora_rank {self.lora_rank} exceeds min(d_model, d_ff) "
+                f"= {min(self.d_model, self.d_ff)}"
+            )
+        if self.lora_alpha <= 0:
+            raise ConfigError(f"lora_alpha must be positive, got {self.lora_alpha}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"dropout_p {self.dropout_p} outside [0, 1)")
+        if self.aux_coef < 0:
+            raise ConfigError(f"aux_coef must be >= 0, got {self.aux_coef}")
+        if self.dropout_scope not in ("both", "attention", "experts"):
+            raise ConfigError(f"unknown dropout_scope {self.dropout_scope!r}")
+        return self
+
+
+@dataclass
+class RunConfig(ModelConfig):
     lr: float = 2e-4
     steps: int = 500
     batch_size: int = 16
-    grad_accum: int = 1
     seed: int = 7
     mode: str = "optimized"
     precision: str = "f64"
     tasks: tuple[str, ...] = ("copy",)
 
     def validate(self) -> "RunConfig":
-        self.model().validate()
+        super().validate()
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        for name in ("steps",):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be a non-negative integer")
-        for name in ("batch_size", "grad_accum"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
+        if self.steps < 0:
+            raise ConfigError("steps must be a non-negative integer")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.precision not in PRECISIONS:
@@ -79,8 +137,7 @@ class RunConfig:
         return self
 
     def model(self) -> ModelConfig:
-        names = {f.name for f in fields(ModelConfig)}
-        return ModelConfig(**{k: v for k, v in asdict(self).items() if k in names})
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     @property
     def dtype(self):
@@ -103,24 +160,15 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
         kwargs = dict(raw)
-        if "tasks" in kwargs:
-            tasks = kwargs["tasks"]
-            if not isinstance(tasks, (list, tuple)) or not all(
-                isinstance(t, str) for t in tasks
-            ):
-                raise ConfigError("tasks must be a list of task names")
-            kwargs["tasks"] = tuple(tasks)
-        try:
-            cfg = cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cfg.validate()
+        if isinstance(kwargs.get("tasks"), list):
+            kwargs["tasks"] = tuple(kwargs["tasks"])
+        return cls(**kwargs).validate()
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .config import ModelConfig
+from .errors import ConfigError, DimensionError, NumericError
 from .lora import FrozenLinear, LoraAdapter, adapted_forward
 from .moe import (
     DenseLoraFfn,
@@ -32,10 +33,8 @@ from .moe import (
     dense_ffn_forward,
 )
 from .numerics import (
-    Tape,
     Tensor,
     add,
-    backward,
     concat_cols,
     concat_rows,
     cross_entropy,
@@ -51,64 +50,6 @@ from .numerics import (
 from .optim import Adam
 
 INIT_STD = 0.02  # stand-in "pretrained" weight scale
-
-
-@dataclass
-class ModelConfig:
-    vocab_size: int = 8192
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    n_layers: int = 2
-    n_experts: int = 8
-    top_k: int = 2
-    lora_rank: int = 16
-    lora_alpha: float = 32.0
-    dropout_p: float = 0.05
-    aux_coef: float = 1e-2
-    max_seq_len: int = 64
-    dropout_scope: str = "both"  # both | attention | experts
-    router_count_topk: bool = False
-
-    def validate(self) -> "ModelConfig":
-        positive = {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "n_layers": self.n_layers,
-            "n_experts": self.n_experts,
-            "top_k": self.top_k,
-            "lora_rank": self.lora_rank,
-            "max_seq_len": self.max_seq_len,
-        }
-        for name, value in positive.items():
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-        if self.n_experts < 2:
-            raise ConfigError(f"n_experts must be >= 2, got {self.n_experts}")
-        if self.top_k > self.n_experts:
-            raise ConfigError(
-                f"top_k {self.top_k} exceeds n_experts {self.n_experts}"
-            )
-        if self.lora_rank > min(self.d_model, self.d_ff):
-            raise ConfigError(
-                f"lora_rank {self.lora_rank} exceeds min(d_model, d_ff) "
-                f"= {min(self.d_model, self.d_ff)}"
-            )
-        if self.lora_alpha <= 0:
-            raise ConfigError(f"lora_alpha must be positive, got {self.lora_alpha}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p {self.dropout_p} outside [0, 1)")
-        if self.aux_coef < 0:
-            raise ConfigError(f"aux_coef must be >= 0, got {self.aux_coef}")
-        if self.dropout_scope not in ("both", "attention", "experts"):
-            raise ConfigError(f"unknown dropout_scope {self.dropout_scope!r}")
-        return self
 
 
 class LayerWeights:
@@ -222,16 +163,10 @@ class AdapterSet:
         set_id: str = "main",
         seed: int = 0,
         kind: str = "mixlora",
-        rank: int | None = None,
         dtype=np.float64,
         lr: float = 2e-4,
-        aux_coef: float | None = None,
     ) -> "AdapterSet":
         config.validate()
-        r = config.lora_rank if rank is None else rank
-        # Keep alpha/rank fixed when the rank is overridden so the delta
-        # scaling stays comparable across parameter budgets.
-        alpha = config.lora_alpha * (r / config.lora_rank)
         salt = _set_salt(set_id)
         rng = np.random.default_rng([int(seed), 1, salt])
         drop_rng = np.random.default_rng([int(seed), 2, salt])
@@ -240,7 +175,8 @@ class AdapterSet:
         p_exp = config.dropout_p if config.dropout_scope in ("both", "experts") else 0.0
 
         def adapter(d_in, d_out, p):
-            return LoraAdapter.create(d_in, d_out, r, alpha, p, rng, dtype)
+            return LoraAdapter.create(d_in, d_out, config.lora_rank, config.lora_alpha,
+                                      p, rng, dtype)
 
         layers = []
         for _ in range(config.n_layers):
@@ -263,8 +199,7 @@ class AdapterSet:
                     w2=adapter(dff, d, p_exp),
                 )
                 layers.append(LayerAdapters(attn, ffn_triple=triple))
-        out = cls(set_id, kind, layers,
-                  config.aux_coef if aux_coef is None else aux_coef, drop_rng)
+        out = cls(set_id, kind, layers, config.aux_coef, drop_rng)
         out.optimizer = Adam(out.parameters(), lr=lr)
         return out
 
@@ -307,10 +242,9 @@ class AdapterSet:
             t.grad = None
 
 
-def trainable_parameter_count(config: ModelConfig, kind: str = "mixlora",
-                              rank: int | None = None) -> int:
+def trainable_parameter_count(config: ModelConfig, kind: str = "mixlora") -> int:
     """Closed-form census: attention adapters + expert triples + routers."""
-    r = config.lora_rank if rank is None else rank
+    r = config.lora_rank
     d, dff = config.d_model, config.d_ff
     attn = 4 * r * (d + d)
     if kind == "mixlora":
@@ -473,10 +407,9 @@ class ToyModel:
 
 
 def build_model(config: ModelConfig, seed: int, kind: str = "mixlora",
-                rank: int | None = None, dtype=np.float64, lr: float = 2e-4,
-                aux_coef: float | None = None, set_id: str = "main") -> ToyModel:
+                dtype=np.float64, lr: float = 2e-4) -> ToyModel:
     base = FrozenBase(config, seed, dtype)
-    adapters = AdapterSet.create(config, set_id, seed, kind, rank, dtype, lr, aux_coef)
+    adapters = AdapterSet.create(config, "main", seed, kind, dtype, lr)
     return ToyModel(config, base, adapters)
 
 
@@ -500,24 +433,3 @@ def model_loss(model: ToyModel, batch: Batch, mode: str = "optimized",
             raise NumericError(f"non-finite {name} loss")
     return LossOutput(total, task, aux_total, stats)
 
-
-def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
-    """One forward/backward/update; only adapter-set parameters change."""
-    if model.adapters is None or model.adapters.optimizer is None:
-        raise ContractError("train_step needs an adapter set with an optimizer")
-    opt = model.adapters.optimizer
-    tape = Tape()
-    with tape:
-        out = model_loss(model, batch, mode, training=True)
-    backward(tape, out.total)
-    for name, t in model.adapters.named_parameters():
-        if t.grad is not None and not np.all(np.isfinite(t.grad)):
-            raise NumericError(f"non-finite gradient for {name}")
-    opt.step()
-    opt.zero_grad()
-    return {
-        "total": out.total.item(),
-        "task": out.task.item(),
-        "aux": out.aux.item(),
-        "stats": out.stats,
-    }

@@ -52,6 +52,8 @@ from .numerics import (
     transpose,
 )
 
+MODES = ("vanilla", "optimized")  # forward paths; "optimized" shares the base W1/W3
+
 
 class Router:
     """Trainable linear scorer over experts with top-k selection."""
@@ -240,7 +242,7 @@ class MixLoraBlock:
 
     def forward(self, h: Tensor, mode: str, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, RoutingStats]:
-        if mode not in ("vanilla", "optimized"):
+        if mode not in MODES:
             raise ContractError(f"unknown forward mode {mode!r}")
         return mixlora_forward(self, h, mode == "optimized", training, rng)
 

@@ -3,7 +3,8 @@
 The engine keeps exactly one copy of the frozen storage; every adapter set
 is an independent logical model with its own optimizer. A multi-task batch
 packs one slice per set, processed task-major: slice t flows through set t
-only, so results and gradients are identical to standalone runs.
+only, so results and gradients are identical to standalone runs. Training
+runs ``train.train_step`` once per slice.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .model import AdapterSet, Batch, FrozenBase, ModelConfig, ToyModel, model_loss
-from .numerics import Tape, backward
+from .model import AdapterSet, Batch, FrozenBase, ModelConfig, ToyModel
+from .train import train_step
 
 
 @dataclass
@@ -40,12 +41,10 @@ class MultiTaskEngine:
         self.sets: dict[str, AdapterSet] = {}
         self._models: dict[str, ToyModel] = {}
 
-    def add_set(self, set_id: str, kind: str = "mixlora", rank: int | None = None,
-                aux_coef: float | None = None) -> AdapterSet:
+    def add_set(self, set_id: str, kind: str = "mixlora") -> AdapterSet:
         if set_id in self.sets:
             raise ContractError(f"duplicate adapter-set id {set_id!r}")
-        aset = AdapterSet.create(self.config, set_id, self.seed, kind, rank,
-                                 self.dtype, self.lr, aux_coef)
+        aset = AdapterSet.create(self.config, set_id, self.seed, kind, self.dtype, self.lr)
         self.sets[set_id] = aset
         self._models[set_id] = ToyModel(self.config, self.base, aset)
         return aset
@@ -69,22 +68,8 @@ def multi_forward(engine: MultiTaskEngine, batch: MultiTaskBatch,
 def multi_train_step(engine: MultiTaskEngine, batch: MultiTaskBatch,
                      mode: str = "optimized") -> dict[str, dict]:
     """One update per set from its own slice only; the base never changes."""
-    losses = {}
-    for set_id, b in zip(batch.set_ids, batch.slices):
-        model = engine.model(set_id)
-        opt = model.adapters.optimizer
-        tape = Tape()
-        with tape:
-            out = model_loss(model, b, mode, training=True)
-        backward(tape, out.total)
-        opt.step()
-        opt.zero_grad()
-        losses[set_id] = {
-            "total": out.total.item(),
-            "task": out.task.item(),
-            "aux": out.aux.item(),
-        }
-    return losses
+    return {set_id: train_step(engine.model(set_id), b, mode)
+            for set_id, b in zip(batch.set_ids, batch.slices)}
 
 
 def memory_census(engine: MultiTaskEngine) -> dict:

@@ -1,12 +1,19 @@
-"""Training loops and evaluation drivers shared by the CLI and tests."""
+"""The one training step, the training loop and evaluation drivers.
+
+``train_step`` is the only place a step happens: forward under a tape,
+backward, a non-finite gradient check, then the optimizer update. ``train``
+calls it once per step and ``multitask.multi_train_step`` once per adapter
+set. It calls ``model_loss`` and ``backward`` through this module's globals,
+so wrapping them here instruments every step.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError
-from .model import ToyModel, build_model, model_loss
+from .errors import ConfigError, ContractError, NumericError
+from .model import Batch, ToyModel, build_model, model_loss
 from .moe import expert_load_std
 from .numerics import Tape, backward
 from .tasks import SyntheticTask, TaskData, default_tasks, evaluate, mixed_batch, sample_batch
@@ -19,9 +26,30 @@ def task_suite(config: RunConfig) -> tuple[list[SyntheticTask], list[TaskData]]:
     return tasks, datas
 
 
+def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
+    """One forward/backward/update; only adapter-set parameters change."""
+    if model.adapters is None or model.adapters.optimizer is None:
+        raise ContractError("train_step needs an adapter set with an optimizer")
+    opt = model.adapters.optimizer
+    tape = Tape()
+    with tape:
+        out = model_loss(model, batch, mode, training=True)
+    backward(tape, out.total)
+    for name, t in model.adapters.named_parameters():
+        if t.grad is not None and not np.all(np.isfinite(t.grad)):
+            raise NumericError(f"non-finite gradient for {name}")
+    opt.step()
+    opt.zero_grad()
+    return {
+        "total": out.total.item(),
+        "task": out.task.item(),
+        "aux": out.aux.item(),
+        "stats": out.stats,
+    }
+
+
 def train(config: RunConfig, multitask: bool = False,
-          log_cb=None, kind: str = "mixlora", rank: int | None = None
-          ) -> tuple[ToyModel, list[dict]]:
+          log_cb=None, kind: str = "mixlora") -> tuple[ToyModel, list[dict]]:
     """Train one adapter set; multitask mixes every configured task per batch.
 
     Returns the model and one metrics record per step:
@@ -34,39 +62,23 @@ def train(config: RunConfig, multitask: bool = False,
             "single-task training needs exactly one task; pass multitask=True "
             f"for the {len(tasks)}-task suite"
         )
-    model = build_model(config.model(), seed=config.seed, kind=kind, rank=rank,
-                        dtype=config.dtype, lr=config.lr, aux_coef=config.aux_coef)
+    model = build_model(config.model(), seed=config.seed, kind=kind,
+                        dtype=config.dtype, lr=config.lr)
     batch_rng = np.random.default_rng([config.seed, 6])
     metrics: list[dict] = []
-    opt = model.adapters.optimizer
     for step in range(config.steps):
-        records = []
-        for _ in range(config.grad_accum):
-            if multitask:
-                batch = mixed_batch(tasks, [d.train for d in datas], batch_rng,
-                                    config.batch_size)
-            else:
-                batch = sample_batch(tasks[0], datas[0].train, batch_rng,
-                                     config.batch_size)
-            tape = Tape()
-            with tape:
-                out = model_loss(model, batch, config.mode, training=True)
-            backward(tape, out.total)
-            records.append(out)
-        if config.grad_accum > 1:
-            inv = 1.0 / config.grad_accum
-            for p in opt.params:
-                if p.grad is not None:
-                    p.grad *= inv
-        opt.step()
-        opt.zero_grad()
-        last = records[-1]
+        if multitask:
+            batch = mixed_batch(tasks, [d.train for d in datas], batch_rng,
+                                config.batch_size)
+        else:
+            batch = sample_batch(tasks[0], datas[0].train, batch_rng, config.batch_size)
+        out = train_step(model, batch, config.mode)
         entry = {
             "step": step,
-            "task_loss": float(np.mean([r.task.item() for r in records])),
-            "aux_loss": float(np.mean([r.aux.item() for r in records])),
-            "total_loss": float(np.mean([r.total.item() for r in records])),
-            "expert_load": [st.dispatch_fractions().tolist() for st in last.stats],
+            "task_loss": out["task"],
+            "aux_loss": out["aux"],
+            "total_loss": out["total"],
+            "expert_load": [st.dispatch_fractions().tolist() for st in out["stats"]],
         }
         metrics.append(entry)
         if log_cb is not None:

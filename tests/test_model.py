@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,10 @@ from mixlora.model import (
     ToyModel,
     build_model,
     model_loss,
-    train_step,
     trainable_parameter_count,
 )
 from mixlora.numerics import Tape, backward
+from mixlora.train import train_step
 from conftest import fd_grad, max_rel_err
 
 SMALL = ModelConfig(
@@ -162,7 +164,7 @@ def test_untrained_loss_near_log_vocab(rng):
 
 
 def test_zero_coef_total_equals_task_exactly(rng):
-    model = build_model(SMALL, seed=4, aux_coef=0.0)
+    model = build_model(dataclasses.replace(SMALL, aux_coef=0.0), seed=4)
     randomize_adapters(model, rng)
     batch = make_batch(rng, SMALL)
     out = model_loss(model, batch, training=False)

@@ -112,7 +112,7 @@ def test_training_trajectories_match_standalone(rng):
         )
     for i, sid in enumerate(engine.sets):
         solo = standalone_model(engine, sid)
-        from mixlora.model import train_step
+        from mixlora.train import train_step
 
         for step_batches in batches:
             res = train_step(solo, step_batches[i])
