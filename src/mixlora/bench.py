@@ -108,7 +108,6 @@ class LatencyReport:
     samples_us_per_token: list[float]
     config_hash: str
     flops: dict = field(default_factory=dict)
-    memory: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -120,7 +119,6 @@ class LatencyReport:
             "us_per_token": self.us_per_token,
             "samples": self.samples_us_per_token,
             "flops": self.flops,
-            "memory": self.memory,
         }
 
 

@@ -12,10 +12,14 @@ Layout (all integers little-endian):
         payload  row-major little-endian floats
 
 Saving is order-stable, so load -> save -> load round-trips byte-for-byte.
+Reading bounds every length by the bytes left in the file and turns any
+unreadable, truncated or malformed file into ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from io import BufferedReader
 
@@ -59,44 +63,51 @@ def save_checkpoint(path: str, config: RunConfig, model: ToyModel) -> None:
             f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def _read_exact(f: BufferedReader, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
+def _read_exact(f: BufferedReader, n: int, size: int, what: str) -> bytes:
+    """n bytes from f, whose file holds size bytes; never reads past the end."""
+    if n > size - f.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
+    return f.read(n)
+
+
+def _text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not utf-8: {exc}") from exc
 
 
 def read_records(path: str) -> tuple[RunConfig, dict[str, np.ndarray]]:
     """Parse and validate a checkpoint without building a model."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack("<Q", _read_exact(f, 8, "config length"))
-        cfg_text = _read_exact(f, cfg_len, "config").decode("utf-8")
-        config = RunConfig.from_json(cfg_text)
-        tensors: dict[str, np.ndarray] = {}
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointError("truncated checkpoint while reading record header")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-            code, ndim = struct.unpack("<BB", _read_exact(f, 2, f"{name} header"))
-            if code not in _CODE_DTYPES:
-                raise CheckpointError(f"unknown dtype code {code} for {name}")
-            dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"{name} dims"))
-            dtype = _CODE_DTYPES[code]
-            count = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-            payload = _read_exact(f, count * dtype.itemsize, f"{name} payload")
-            if name in tensors:
-                raise CheckpointError(f"duplicate tensor record {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
+    try:
+        with open(path, "rb") as f:
+            return _parse(f, os.fstat(f.fileno()).st_size)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, dict[str, np.ndarray]]:
+    magic = f.read(4)
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    (version,) = struct.unpack("<I", _read_exact(f, 4, size, "version"))
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    (cfg_len,) = struct.unpack("<Q", _read_exact(f, 8, size, "config length"))
+    config = RunConfig.from_json(_text(_read_exact(f, cfg_len, size, "config"), "config"))
+    tensors: dict[str, np.ndarray] = {}
+    while f.tell() < size:
+        (name_len,) = struct.unpack("<I", _read_exact(f, 4, size, "record header"))
+        name = _text(_read_exact(f, name_len, size, "tensor name"), "tensor name")
+        code, ndim = struct.unpack("<BB", _read_exact(f, 2, size, f"{name} header"))
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"unknown dtype code {code} for {name}")
+        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, size, f"{name} dims"))
+        dtype = _CODE_DTYPES[code]
+        payload = _read_exact(f, math.prod(dims) * dtype.itemsize, size, f"{name} payload")
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor record {name!r}")
+        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
     return config, tensors
 
 

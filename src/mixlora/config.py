@@ -6,7 +6,9 @@
 flat JSON objects of ``RunConfig`` fields. Unknown keys are rejected before any
 allocation, and every value is checked against its declared type: a bool is
 not an int, and floats must be finite. Round-tripping through
-``to_dict``/``from_dict`` is lossless.
+``to_dict``/``from_dict`` is lossless. A config whose frozen base plus one
+adapter set would exceed ``MAX_ELEMENTS`` is rejected, so no dimension reaches
+an allocation, and every stored dimension fits a checkpoint's u32.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import ConfigError
 from .moe import MODES
 
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
+MAX_ELEMENTS = 2**31  # frozen base plus one adapter set
 
 
 def _finite_number(value) -> bool:
@@ -73,8 +76,6 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.n_experts < 2:
-            raise ConfigError(f"n_experts must be >= 2, got {self.n_experts}")
         if self.top_k > self.n_experts:
             raise ConfigError(
                 f"top_k {self.top_k} exceeds n_experts {self.n_experts}"
@@ -92,7 +93,28 @@ class ModelConfig:
             raise ConfigError(f"aux_coef must be >= 0, got {self.aux_coef}")
         if self.dropout_scope not in ("both", "attention", "experts"):
             raise ConfigError(f"unknown dropout_scope {self.dropout_scope!r}")
+        size = frozen_parameter_count(self) + trainable_parameter_count(self)
+        if size > MAX_ELEMENTS:
+            raise ConfigError(
+                f"frozen base plus one adapter set is {size} elements, "
+                f"above the limit of {MAX_ELEMENTS}"
+            )
         return self
+
+
+def frozen_parameter_count(config: ModelConfig) -> int:
+    """Closed-form census of the frozen base: embeddings, layers, head."""
+    d, dff = config.d_model, config.d_ff
+    per_layer = 4 * d * d + 3 * d * dff + 4 * d  # q/k/v/o, W1/W3/W2, two layer norms
+    return (2 * config.vocab_size + config.max_seq_len) * d + config.n_layers * per_layer
+
+
+def trainable_parameter_count(config: ModelConfig) -> int:
+    """Closed-form census: attention adapters + expert triples + routers."""
+    r = config.lora_rank
+    d, dff = config.d_model, config.d_ff
+    per_layer = 4 * r * (d + d) + config.n_experts * (3 * r * (d + dff) + d)
+    return config.n_layers * per_layer
 
 
 @dataclass

@@ -3,8 +3,10 @@
 The frozen base (embeddings, attention weights, layer norms, FFN, output
 head) is a seeded Gaussian surrogate for pretrained weights; the only
 trainable state lives in an AdapterSet: per-layer attention LoRA adapters
-plus either expert triples + router (mixture) or one FFN triple (plain
-LoRA baseline). Residual structure per layer:
+plus expert triples and a router. The plain LoRA baseline is the one-expert
+mixture (``n_experts=1, top_k=1``): its gate is exactly 1.0, its router holds
+``d_model`` weights per layer that never move, and its balance loss is the
+constant ``aux_coef`` per layer (up to rounding). Residual structure per layer:
 
     z = MSA(LN1(h)) + h
     h' = FfnBlock(LN2(z)) + z
@@ -18,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig
-from .errors import ConfigError, DimensionError, NumericError
+from .config import ModelConfig, trainable_parameter_count
+from .errors import DimensionError, NumericError
 from .lora import FrozenLinear, LoraAdapter, adapted_forward
 from .moe import (
-    DenseLoraFfn,
     ExpertAdapters,
     ExpertTriple,
     MixLoraBlock,
@@ -126,16 +127,13 @@ class FrozenBase:
 
 
 class LayerAdapters:
-    """Trainable pieces of one layer for a given adapter-set kind."""
+    """Trainable pieces of one layer: attention adapters, experts, router."""
 
-    def __init__(self, attn: dict[str, LoraAdapter],
-                 experts: ExpertAdapters | None = None,
-                 router: Router | None = None,
-                 ffn_triple: ExpertTriple | None = None):
+    def __init__(self, attn: dict[str, LoraAdapter], experts: ExpertAdapters,
+                 router: Router):
         self.attn = attn
         self.experts = experts
         self.router = router
-        self.ffn_triple = ffn_triple
 
 
 def _set_salt(set_id: str) -> int:
@@ -145,12 +143,9 @@ def _set_salt(set_id: str) -> int:
 class AdapterSet:
     """All trainable state of one logical model over the shared frozen base."""
 
-    def __init__(self, set_id: str, kind: str, layers: list[LayerAdapters],
+    def __init__(self, set_id: str, layers: list[LayerAdapters],
                  aux_coef: float, dropout_rng: np.random.Generator):
-        if kind not in ("mixlora", "lora"):
-            raise ConfigError(f"unknown adapter-set kind {kind!r}")
         self.set_id = set_id
-        self.kind = kind
         self.layers = layers
         self.aux_coef = float(aux_coef)
         self.dropout_rng = dropout_rng
@@ -162,7 +157,6 @@ class AdapterSet:
         config: ModelConfig,
         set_id: str = "main",
         seed: int = 0,
-        kind: str = "mixlora",
         dtype=np.float64,
         lr: float = 2e-4,
     ) -> "AdapterSet":
@@ -181,25 +175,17 @@ class AdapterSet:
         layers = []
         for _ in range(config.n_layers):
             attn = {name: adapter(d, d, p_attn) for name in ("q", "k", "v", "o")}
-            if kind == "mixlora":
-                triples = [
-                    ExpertTriple(
-                        w1=adapter(d, dff, p_exp),
-                        w3=adapter(d, dff, p_exp),
-                        w2=adapter(dff, d, p_exp),
-                    )
-                    for _ in range(config.n_experts)
-                ]
-                router = Router.create(config.n_experts, d, config.top_k, rng, dtype)
-                layers.append(LayerAdapters(attn, ExpertAdapters(triples), router))
-            else:
-                triple = ExpertTriple(
+            triples = [
+                ExpertTriple(
                     w1=adapter(d, dff, p_exp),
                     w3=adapter(d, dff, p_exp),
                     w2=adapter(dff, d, p_exp),
                 )
-                layers.append(LayerAdapters(attn, ffn_triple=triple))
-        out = cls(set_id, kind, layers, config.aux_coef, drop_rng)
+                for _ in range(config.n_experts)
+            ]
+            router = Router.create(config.n_experts, d, config.top_k, rng, dtype)
+            layers.append(LayerAdapters(attn, ExpertAdapters(triples), router))
+        out = cls(set_id, layers, config.aux_coef, drop_rng)
         out.optimizer = Adam(out.parameters(), lr=lr)
         return out
 
@@ -210,22 +196,14 @@ class AdapterSet:
             for name in ("q", "k", "v", "o"):
                 ad = la.attn[name]
                 out += [(f"{p}.attn.{name}.A", ad.a), (f"{p}.attn.{name}.B", ad.b)]
-            if la.experts is not None:
-                for k, triple in enumerate(la.experts.triples):
-                    for proj in ("w1", "w3", "w2"):
-                        ad = getattr(triple, proj)
-                        out += [
-                            (f"{p}.expert{k}.{proj}.A", ad.a),
-                            (f"{p}.expert{k}.{proj}.B", ad.b),
-                        ]
-                out.append((f"{p}.router", la.router.wr))
-            if la.ffn_triple is not None:
+            for k, triple in enumerate(la.experts.triples):
                 for proj in ("w1", "w3", "w2"):
-                    ad = getattr(la.ffn_triple, proj)
+                    ad = getattr(triple, proj)
                     out += [
-                        (f"{p}.ffn.{proj}.A", ad.a),
-                        (f"{p}.ffn.{proj}.B", ad.b),
+                        (f"{p}.expert{k}.{proj}.A", ad.a),
+                        (f"{p}.expert{k}.{proj}.B", ad.b),
                     ]
+            out.append((f"{p}.router", la.router.wr))
         return out
 
     def parameters(self) -> list[Tensor]:
@@ -236,22 +214,6 @@ class AdapterSet:
 
     def param_bytes(self) -> int:
         return sum(t.data.nbytes for t in self.parameters())
-
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.grad = None
-
-
-def trainable_parameter_count(config: ModelConfig, kind: str = "mixlora") -> int:
-    """Closed-form census: attention adapters + expert triples + routers."""
-    r = config.lora_rank
-    d, dff = config.d_model, config.d_ff
-    attn = 4 * r * (d + d)
-    if kind == "mixlora":
-        per_layer = attn + config.n_experts * 3 * r * (d + dff) + config.n_experts * d
-    else:
-        per_layer = attn + 3 * r * (d + dff)
-    return config.n_layers * per_layer
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +306,7 @@ class ToyModel:
         for i in range(config.n_layers):
             if adapters is None:
                 self.blocks.append(None)
-            elif adapters.kind == "mixlora":
+            else:
                 la = adapters.layers[i]
                 self.blocks.append(
                     MixLoraBlock(
@@ -356,9 +318,6 @@ class ToyModel:
                         layer_index=i,
                     )
                 )
-            else:
-                la = adapters.layers[i]
-                self.blocks.append(DenseLoraFfn(base.layers[i].ffn, la.ffn_triple))
 
     def _mask(self, t: int) -> Tensor:
         if t not in self._masks:
@@ -406,10 +365,10 @@ class ToyModel:
         return self.base.head.apply(h), stats
 
 
-def build_model(config: ModelConfig, seed: int, kind: str = "mixlora",
-                dtype=np.float64, lr: float = 2e-4) -> ToyModel:
+def build_model(config: ModelConfig, seed: int, dtype=np.float64,
+                lr: float = 2e-4) -> ToyModel:
     base = FrozenBase(config, seed, dtype)
-    adapters = AdapterSet.create(config, "main", seed, kind, dtype, lr)
+    adapters = AdapterSet.create(config, "main", seed, dtype, lr)
     return ToyModel(config, base, adapters)
 
 

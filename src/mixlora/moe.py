@@ -24,6 +24,13 @@ Dropout masks are drawn from ``rng`` in a fixed order: experts ascending, and
 within an expert the w1 adapter input, then w3, then w2, each mask covering
 the expert's rows in ascending token order. Experts that receive no token
 draw nothing.
+
+The plain LoRA baseline (one adapter triple on the frozen FFN, no routing) is
+this block with ``n_experts=1, top_k=1``: softmax over one logit is exactly
+1.0, so the gate scales by 1.0 and the output and adapter gradients equal the
+dense LoRA FFN's bit for bit. The router's gradient is exactly 0, so its
+``d_model`` weights per layer never move, and the balance loss is the
+constant ``aux_coef`` (up to rounding).
 """
 
 from __future__ import annotations
@@ -230,8 +237,6 @@ class MixLoraBlock:
             raise DimensionError(
                 f"{len(experts)} expert triples vs router for {router.n_experts}"
             )
-        if len(experts) < 2:
-            raise ContractError("need at least 2 experts")
         self.router = router
         self.ffn = ffn
         self.experts = experts
@@ -315,25 +320,6 @@ def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
 def dense_ffn_forward(ffn: SharedFfn, h: Tensor) -> Tensor:
     """Plain frozen SwiGLU output, no experts and no adapters."""
     return ffn.w2.apply(mul(silu(ffn.w1.apply(h)), ffn.w3.apply(h)))
-
-
-class DenseLoraFfn:
-    """Frozen FFN with one LoRA triple and no routing.
-
-    Parameter-matched baseline for comparing against the expert mixture;
-    exposes the same (output, stats) forward contract with stats=None.
-    """
-
-    def __init__(self, ffn: SharedFfn, triple: ExpertTriple):
-        self.ffn = ffn
-        self.triple = triple
-
-    def forward(self, h: Tensor, mode: str = "optimized", training: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, None]:
-        h1 = _adapted(self.ffn.w1, self.triple.w1, h, "w1", training, rng)
-        h3 = _adapted(self.ffn.w3, self.triple.w3, h, "w3", training, rng)
-        gmid = mul(silu(h1), h3)
-        return _adapted(self.ffn.w2, self.triple.w2, gmid, "w2", training, rng), None
 
 
 def expert_load_std(stats: RoutingStats) -> float:

@@ -41,10 +41,10 @@ class MultiTaskEngine:
         self.sets: dict[str, AdapterSet] = {}
         self._models: dict[str, ToyModel] = {}
 
-    def add_set(self, set_id: str, kind: str = "mixlora") -> AdapterSet:
+    def add_set(self, set_id: str) -> AdapterSet:
         if set_id in self.sets:
             raise ContractError(f"duplicate adapter-set id {set_id!r}")
-        aset = AdapterSet.create(self.config, set_id, self.seed, kind, self.dtype, self.lr)
+        aset = AdapterSet.create(self.config, set_id, self.seed, self.dtype, self.lr)
         self.sets[set_id] = aset
         self._models[set_id] = ToyModel(self.config, self.base, aset)
         return aset

@@ -51,9 +51,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return (
             f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype}, "
@@ -187,42 +184,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _broadcast_kind(a: Tensor, b: Tensor) -> str:
-    if a.shape == b.shape:
-        return "same"
-    if a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]:
-        return "row"
-    raise DimensionError(f"elementwise: incompatible shapes {a.shape} vs {b.shape}")
+def _same_shape(a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"elementwise: incompatible shapes {a.shape} vs {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may be a 1-D row vector broadcast over a's rows."""
-    kind = _broadcast_kind(a, b)
+    """Elementwise sum of two tensors of the same shape."""
+    _same_shape(a, b)
     out = Tensor(a.data + b.data)
     tape = _tape_for(a, b)
     if tape is not None:
         out.requires_grad = True
 
-        def bwd(g, a=a, b=b, kind=kind):
+        def bwd(g, a=a, b=b):
             _accum(a, g)
-            _accum(b, g if kind == "same" else g.sum(axis=0))
+            _accum(b, g)
 
         tape._record(out, (a, b), bwd)
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; b may be a 1-D row vector broadcast over a's rows."""
-    kind = _broadcast_kind(a, b)
+    """Elementwise product of two tensors of the same shape."""
+    _same_shape(a, b)
     out = Tensor(a.data * b.data)
     tape = _tape_for(a, b)
     if tape is not None:
         out.requires_grad = True
 
-        def bwd(g, a=a, b=b, kind=kind):
+        def bwd(g, a=a, b=b):
             _accum(a, g * b.data)
-            gb = g * a.data
-            _accum(b, gb if kind == "same" else gb.sum(axis=0))
+            _accum(b, g * a.data)
 
         tape._record(out, (a, b), bwd)
     return out
@@ -289,10 +282,10 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
-    d = x.shape[-1] if x.ndim > 0 else 0
-    if d < 2:
-        raise DimensionError(f"layer_norm: need last dim >= 2, got shape {x.shape}")
+    """Per-row normalization of a 2-D input to zero mean / unit variance, then affine."""
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise DimensionError(f"layer_norm: need 2-D rows of >= 2, got shape {x.shape}")
+    d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match dim {d}"
@@ -307,12 +300,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         out.requires_grad = True
 
         def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
-            if x.ndim == 2:
-                _accum(gain, (g * xhat).sum(axis=0))
-                _accum(bias, g.sum(axis=0))
-            else:
-                _accum(gain, g * xhat)
-                _accum(bias, g)
+            _accum(gain, (g * xhat).sum(axis=0))
+            _accum(bias, g.sum(axis=0))
             dxhat = g * gain.data
             dx = inv * (
                 dxhat

@@ -49,7 +49,7 @@ def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
 
 
 def train(config: RunConfig, multitask: bool = False,
-          log_cb=None, kind: str = "mixlora") -> tuple[ToyModel, list[dict]]:
+          log_cb=None) -> tuple[ToyModel, list[dict]]:
     """Train one adapter set; multitask mixes every configured task per batch.
 
     Returns the model and one metrics record per step:
@@ -62,8 +62,7 @@ def train(config: RunConfig, multitask: bool = False,
             "single-task training needs exactly one task; pass multitask=True "
             f"for the {len(tasks)}-task suite"
         )
-    model = build_model(config.model(), seed=config.seed, kind=kind,
-                        dtype=config.dtype, lr=config.lr)
+    model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
     batch_rng = np.random.default_rng([config.seed, 6])
     metrics: list[dict] = []
     for step in range(config.steps):
@@ -96,11 +95,10 @@ def evaluate_tasks(model: ToyModel, config: RunConfig,
         task = registry[name]
         data = task.generate(config.seed)
         acc, stats = evaluate(model, task, data.test, config.mode)
-        entry = {"accuracy": acc}
-        if stats:
-            entry["expert_load_std"] = [expert_load_std(st) for st in stats]
-            entry["dispatch_fractions"] = [st.dispatch_fractions().tolist()
-                                           for st in stats]
-            entry["mean_probs"] = [st.mean_probs().tolist() for st in stats]
-        out[name] = entry
+        out[name] = {
+            "accuracy": acc,
+            "expert_load_std": [expert_load_std(st) for st in stats],
+            "dispatch_fractions": [st.dispatch_fractions().tolist() for st in stats],
+            "mean_probs": [st.mean_probs().tolist() for st in stats],
+        }
     return out

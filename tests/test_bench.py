@@ -42,7 +42,7 @@ def test_analytic_counts_match_spec_arithmetic():
 
 
 @pytest.mark.parametrize("mode", ["vanilla", "optimized"])
-@pytest.mark.parametrize("n,k", [(8, 2), (4, 1), (3, 3), (8, 3)])
+@pytest.mark.parametrize("n,k", [(8, 2), (4, 1), (3, 3), (8, 3), (1, 1)])
 def test_instrumented_equals_analytic_exactly(mode, n, k):
     config = ModelConfig(
         vocab_size=16, d_model=12, n_heads=2, d_ff=20, n_layers=1, n_experts=n,

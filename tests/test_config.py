@@ -4,7 +4,8 @@ import pytest
 
 from mixlora.bench import config_hash
 from mixlora.cli import main
-from mixlora.config import ModelConfig, RunConfig
+from mixlora import config as config_mod
+from mixlora.config import ModelConfig, RunConfig, frozen_parameter_count, trainable_parameter_count
 from mixlora.errors import ConfigError
 
 # The flat JSON of the default RunConfig; keys sorted.
@@ -90,6 +91,27 @@ def test_ill_typed_config_exits_2_from_cli(text, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "ckpt").exists()
+
+
+def test_huge_dimensions_are_a_config_error(tmp_path, capsys):
+    text = '{"d_model": ' + str(10**30) + ', "steps": 0}'
+    with pytest.raises(ConfigError, match="above the limit"):
+        RunConfig.from_json(text)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
+    assert "above the limit" in capsys.readouterr().err
+
+
+def test_size_limit_counts_the_base_and_one_adapter_set(monkeypatch):
+    config = ModelConfig(vocab_size=64, d_model=16, n_heads=2, d_ff=24, n_layers=1,
+                         n_experts=2, top_k=1, lora_rank=2, max_seq_len=8)
+    size = frozen_parameter_count(config) + trainable_parameter_count(config)
+    monkeypatch.setattr(config_mod, "MAX_ELEMENTS", size)
+    config.validate()
+    monkeypatch.setattr(config_mod, "MAX_ELEMENTS", size - 1)
+    with pytest.raises(ConfigError):
+        config.validate()
 
 
 def test_numbers_in_float_fields_may_be_integers():

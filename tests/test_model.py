@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mixlora.config import frozen_parameter_count
 from mixlora.errors import ConfigError, DimensionError
 from mixlora.model import (
     Batch,
@@ -222,6 +223,36 @@ def test_trainable_census_formula_and_default_value():
     assert model.adapters.trainable_count() == trainable_parameter_count(SMALL)
     desk_model = build_model(DESK, seed=1)
     assert desk_model.adapters.trainable_count() == 164_864
+
+
+def test_one_expert_census_is_lora_plus_a_router_row():
+    one = dataclasses.replace(DESK, n_experts=1, top_k=1)
+    r, d, dff = one.lora_rank, one.d_model, one.d_ff
+    lora = one.n_layers * (4 * r * (d + d) + 3 * r * (d + dff))
+    assert trainable_parameter_count(one) == lora + one.n_layers * d == 34_944
+    model = build_model(dataclasses.replace(SMALL, n_experts=1, top_k=1), seed=1)
+    assert model.adapters.trainable_count() == trainable_parameter_count(model.config) == 256
+
+
+def test_frozen_census_formula():
+    for config in (SMALL, DESK):
+        base = FrozenBase(config, seed=0)
+        assert frozen_parameter_count(config) == sum(t.data.size for _, t in base.named_tensors())
+
+
+def test_one_expert_model_trains_as_the_lora_baseline(rng):
+    one = dataclasses.replace(SMALL, n_experts=1, top_k=1)
+    model = build_model(one, seed=8, lr=1e-2)
+    router = model.adapters.layers[0].router.wr
+    start = router.data.copy()
+    adapters = [p.data.copy() for p in model.adapters.parameters()]
+    for _ in range(3):
+        out = train_step(model, make_batch(rng, one))
+        assert out["aux"] == pytest.approx(one.aux_coef, rel=1e-15)
+    assert np.array_equal(router.data, start)
+    moved = [not np.array_equal(p.data, a)
+             for p, a in zip(model.adapters.parameters(), adapters) if p is not router]
+    assert all(moved)
 
 
 def test_train_step_zero_lr_changes_nothing(rng):

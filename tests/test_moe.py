@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixlora.errors import ContractError
-from mixlora.lora import FrozenLinear, LoraAdapter
+from mixlora.lora import FrozenLinear, LoraAdapter, adapted_forward
 from mixlora.moe import (
     ExpertAdapters,
     ExpertTriple,
@@ -17,7 +17,7 @@ from mixlora.moe import (
     mixlora_forward,
     route,
 )
-from mixlora.numerics import Tape, Tensor, backward, sum_all, mul
+from mixlora.numerics import Tape, Tensor, add, backward, silu, sum_all, mul
 from conftest import fd_grad, max_rel_err
 
 
@@ -239,13 +239,56 @@ def test_vanilla_matches_naive_loop_oracle(rng):
 
 
 def test_optimized_matches_vanilla(rng):
-    for n, k in ((2, 1), (4, 2), (8, 3)):
+    for n, k in ((2, 1), (4, 2), (8, 3), (1, 1)):
         block = make_block(rng, n_experts=n, top_k=k)
         h = Tensor(rng.uniform(-1, 1, (30, 6)))
         out_v, st_v = mixlora_forward(block, h, shared_base=False)
         out_o, st_o = mixlora_forward(block, h, shared_base=True)
         assert np.abs(out_v.data - out_o.data).max() < 1e-9
         assert np.array_equal(st_v.dispatch_counts, st_o.dispatch_counts)
+
+
+def dense_lora_ffn(block, h, training, rng):
+    """The plain LoRA baseline: one adapter triple on the frozen FFN, no router."""
+    ffn, triple = block.ffn, block.experts[0]
+    h1 = adapted_forward(ffn.w1, triple.w1, h, training, rng)
+    h3 = adapted_forward(ffn.w3, triple.w3, h, training, rng)
+    return adapted_forward(ffn.w2, triple.w2, mul(silu(h1), h3), training, rng)
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("shared_base", [False, True])
+def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
+    rng = np.random.default_rng(7)
+    block = make_block(rng, n_experts=1, top_k=1, dropout_p=dropout_p)
+    h_data = rng.normal(size=(13, 6))
+    w = Tensor(rng.normal(size=(13, 6)))
+    params = block.experts.parameters()
+
+    def run(forward):
+        for p in params + [block.router.wr]:
+            p.grad = None
+        h = Tensor(h_data.copy(), requires_grad=True)
+        tape = Tape()
+        with tape:
+            out, aux = forward(h, np.random.default_rng(3))
+            loss = sum_all(mul(out, w)) if aux is None else add(sum_all(mul(out, w)), aux)
+        backward(tape, loss)
+        return out.data, [p.grad.copy() for p in params], h.grad
+
+    def mixture(h, drop_rng):
+        out, stats = mixlora_forward(block, h, shared_base, training=True, rng=drop_rng)
+        return out, aux_loss(stats, 1, block.aux_coef)
+
+    out_m, grads_m, dh_m = run(mixture)
+    router_grad = block.router.wr.grad
+    out_d, grads_d, dh_d = run(lambda h, drop_rng: (dense_lora_ffn(block, h, True, drop_rng), None))
+    assert np.array_equal(out_m, out_d)
+    for gm, gd in zip(grads_m, grads_d):
+        assert np.array_equal(gm, gd)
+    assert np.array_equal(router_grad, np.zeros_like(router_grad))
+    # The input gradient sums the same terms in another order.
+    assert np.abs(dh_m - dh_d).max() <= 1e-14 * np.abs(dh_d).max()
 
 
 def test_optimized_with_zero_adapters_is_plain_ffn(rng):

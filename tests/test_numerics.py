@@ -117,12 +117,16 @@ def test_softmax_rows_sum_to_one_and_positive(rng):
 
 
 def test_add_row_broadcast_and_error(rng):
+    # Elementwise ops take equal shapes only: a 1-D row does not broadcast.
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=4), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 4)))
     grad_check(lambda: sum_all(mul(add(a, b), w)), [a, b], tol=1e-6)
-    with pytest.raises(DimensionError):
-        add(a, Tensor(np.ones(3)))
+    for op in (add, mul):
+        with pytest.raises(DimensionError):
+            op(a, Tensor(rng.normal(size=4)))
+        with pytest.raises(DimensionError):
+            op(a, Tensor(np.ones(3)))
 
 
 def test_elementwise_grads(rng):
@@ -157,6 +161,13 @@ def test_layer_norm_two_point_row_by_hand():
 def test_layer_norm_rejects_short_rows():
     with pytest.raises(DimensionError):
         layer_norm(Tensor([[1.0]]), Tensor(np.ones(1)), Tensor(np.zeros(1)))
+
+
+def test_layer_norm_rejects_non_2d_input():
+    gain, bias = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    for shape in ((3,), (2, 2, 3)):
+        with pytest.raises(DimensionError):
+            layer_norm(Tensor(np.arange(np.prod(shape), dtype=float).reshape(shape)), gain, bias)
 
 
 def test_layer_norm_gradients(rng):
