@@ -45,22 +45,25 @@ def named_model_tensors(model: ToyModel) -> list[tuple[str, Tensor]]:
 
 def save_checkpoint(path: str, config: RunConfig, model: ToyModel) -> None:
     cfg_bytes = config.to_json().encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(cfg_bytes)))
-        f.write(cfg_bytes)
-        for name, tensor in named_model_tensors(model):
-            arr = np.ascontiguousarray(tensor.data)
-            code = _DTYPE_CODES.get(arr.dtype)
-            if code is None:
-                raise CheckpointError(f"unsupported dtype {arr.dtype} for {name}")
-            name_b = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_b)))
-            f.write(name_b)
-            f.write(struct.pack("<BB", code, arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    try:
+        with open(path, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(cfg_bytes)))
+            f.write(cfg_bytes)
+            for name, tensor in named_model_tensors(model):
+                arr = np.ascontiguousarray(tensor.data)
+                code = _DTYPE_CODES.get(arr.dtype)
+                if code is None:
+                    raise CheckpointError(f"unsupported dtype {arr.dtype} for {name}")
+                name_b = name.encode("utf-8")
+                f.write(struct.pack("<I", len(name_b)))
+                f.write(name_b)
+                f.write(struct.pack("<BB", code, arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def _read_exact(f: BufferedReader, n: int, size: int, what: str) -> bytes:

@@ -68,11 +68,14 @@ def cmd_train(args) -> int:
     if args.mode:
         config.mode = args.mode
     config.validate()
-    model, metrics = train(config, multitask=args.multitask)
     metrics_path = args.out + ".metrics.jsonl"
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        for entry in metrics:
-            f.write(json.dumps(entry) + "\n")
+    try:
+        log = open(metrics_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write metrics {metrics_path}: {exc}") from exc
+    with log:
+        model, metrics = train(config, multitask=args.multitask,
+                               log_cb=lambda entry: log.write(json.dumps(entry) + "\n"))
     save_checkpoint(args.out, config, model)
     summary = {
         "checkpoint": args.out,

@@ -7,8 +7,9 @@ flat JSON objects of ``RunConfig`` fields. Unknown keys are rejected before any
 allocation, and every value is checked against its declared type: a bool is
 not an int, and floats must be finite. Round-tripping through
 ``to_dict``/``from_dict`` is lossless. A config whose frozen base plus one
-adapter set would exceed ``MAX_ELEMENTS`` is rejected, so no dimension reaches
-an allocation, and every stored dimension fits a checkpoint's u32.
+adapter set, or whose largest training-step array, would exceed
+``MAX_ELEMENTS`` is rejected, so no dimension or batch size reaches an
+allocation, and every stored dimension fits a checkpoint's u32.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import ConfigError
 from .moe import MODES
 
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
-MAX_ELEMENTS = 2**31  # frozen base plus one adapter set
+MAX_ELEMENTS = 2**31  # frozen base plus one adapter set; one step's largest array
 
 
 def _finite_number(value) -> bool:
@@ -109,6 +110,16 @@ def frozen_parameter_count(config: ModelConfig) -> int:
     return (2 * config.vocab_size + config.max_seq_len) * d + config.n_layers * per_layer
 
 
+def step_activation_elements(config: "RunConfig") -> int:
+    """Size of one training step's largest array, with T = max_seq_len: the
+    [batch_size, n_heads, T, T] scores, or batch_size*T rows (top_k times as
+    many in expert dispatch) of the widest of d_model, d_ff, n_experts, vocab."""
+    rows = config.batch_size * config.max_seq_len
+    widest = max(config.top_k * max(config.d_model, config.d_ff),
+                 config.n_experts, config.vocab_size)
+    return rows * max(widest, config.n_heads * config.max_seq_len)
+
+
 def trainable_parameter_count(config: ModelConfig) -> int:
     """Closed-form census: attention adapters + expert triples + routers."""
     r = config.lora_rank
@@ -135,6 +146,10 @@ class RunConfig(ModelConfig):
             raise ConfigError("steps must be a non-negative integer")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be a positive integer")
+        size = step_activation_elements(self)
+        if size > MAX_ELEMENTS:
+            raise ConfigError(f"batch_size {self.batch_size} gives a {size}-element "
+                              f"step array, above the limit of {MAX_ELEMENTS}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:

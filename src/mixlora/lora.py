@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DimensionError
 from .numerics import Tensor, add, dropout, matmul, scale, transpose
 
+INIT_STD = 0.02  # standard deviation of every trainable weight drawn at init
+
 
 class FrozenLinear:
     """Frozen weight W of shape [d_out, d_in]; apply() computes x @ W.T."""
@@ -70,10 +72,9 @@ class LoraAdapter:
         dropout_p: float,
         rng: np.random.Generator,
         dtype=np.float64,
-        init_std: float = 0.02,
     ) -> "LoraAdapter":
-        """A ~ N(0, init_std^2), B = 0, so the initial delta is exactly zero."""
-        a = Tensor(rng.normal(0.0, init_std, size=(rank, d_in)).astype(dtype), requires_grad=True)
+        """A ~ N(0, INIT_STD^2), B = 0, so the initial delta is exactly zero."""
+        a = Tensor(rng.normal(0.0, INIT_STD, size=(rank, d_in)).astype(dtype), requires_grad=True)
         b = Tensor(np.zeros((d_out, rank), dtype=dtype), requires_grad=True)
         return cls(a, b, rank, alpha, dropout_p)
 

@@ -14,7 +14,6 @@ constant ``aux_coef`` per layer (up to rounding). Residual structure per layer:
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -36,17 +35,11 @@ from .moe import (
 from .numerics import (
     Tensor,
     add,
-    concat_cols,
-    concat_rows,
+    causal_attention,
     cross_entropy,
     flop_labels,
     layer_norm,
-    matmul,
-    scale,
-    softmax_lastdim,
-    take_cols,
     take_rows,
-    transpose,
 )
 from .optim import Adam
 
@@ -239,50 +232,27 @@ class LossOutput:
 
 
 def attention_forward(lw: LayerWeights, attn_adapters: dict | None, x: Tensor,
-                      n_seqs: int, seq_len: int, n_heads: int, mask: Tensor,
-                      training: bool = False,
+                      n_seqs: int, n_heads: int, training: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head causal self-attention with adapted q/k/v/o projections."""
 
-    def project(frozen, name):
+    def project(frozen, name, inp):
         if attn_adapters is None:
-            return frozen.apply(x)
-        return adapted_forward(frozen, attn_adapters[name], x, training, rng)
+            return frozen.apply(inp)
+        return adapted_forward(frozen, attn_adapters[name], inp, training, rng)
 
-    q = project(lw.wq, "q")
-    k = project(lw.wk, "k")
-    v = project(lw.wv, "v")
-    d_model = q.shape[1]
-    d_head = d_model // n_heads
-    inv_sqrt = 1.0 / math.sqrt(d_head)
-    seq_outs = []
-    for b in range(n_seqs):
-        rows = np.arange(b * seq_len, (b + 1) * seq_len)
-        qb, kb, vb = take_rows(q, rows), take_rows(k, rows), take_rows(v, rows)
-        heads = []
-        for hh in range(n_heads):
-            j0 = hh * d_head
-            qh = take_cols(qb, j0, j0 + d_head)
-            kh = take_cols(kb, j0, j0 + d_head)
-            vh = take_cols(vb, j0, j0 + d_head)
-            scores = add(scale(matmul(qh, transpose(kh)), inv_sqrt), mask)
-            heads.append(matmul(softmax_lastdim(scores), vh))
-        seq_outs.append(concat_cols(heads))
-    merged = seq_outs[0] if n_seqs == 1 else concat_rows(seq_outs)
-    if attn_adapters is None:
-        return lw.wo.apply(merged)
-    return adapted_forward(lw.wo, attn_adapters["o"], merged, training, rng)
+    heads = causal_attention(project(lw.wq, "q", x), project(lw.wk, "k", x),
+                             project(lw.wv, "v", x), n_seqs, n_heads)
+    return project(lw.wo, "o", heads)
 
 
 def layer_forward(lw: LayerWeights, la: LayerAdapters | None, block, h: Tensor,
-                  mode: str, n_seqs: int, seq_len: int, n_heads: int, mask: Tensor,
-                  training: bool = False,
+                  mode: str, n_seqs: int, n_heads: int, training: bool = False,
                   rng: np.random.Generator | None = None
                   ) -> tuple[Tensor, RoutingStats | None]:
     attn_adapters = la.attn if la is not None else None
     x1 = layer_norm(h, lw.ln1_g, lw.ln1_b)
-    attn = attention_forward(lw, attn_adapters, x1, n_seqs, seq_len, n_heads,
-                             mask, training, rng)
+    attn = attention_forward(lw, attn_adapters, x1, n_seqs, n_heads, training, rng)
     z = add(attn, h)
     x2 = layer_norm(z, lw.ln2_g, lw.ln2_b)
     if block is None:
@@ -301,7 +271,6 @@ class ToyModel:
         self.base = base
         self.adapters = adapters
         self.dtype = base.dtype
-        self._masks: dict[int, Tensor] = {}
         self.blocks: list = []
         for i in range(config.n_layers):
             if adapters is None:
@@ -319,12 +288,6 @@ class ToyModel:
                     )
                 )
 
-    def _mask(self, t: int) -> Tensor:
-        if t not in self._masks:
-            m = np.triu(np.full((t, t), -np.inf, dtype=self.dtype), k=1)
-            self._masks[t] = Tensor(m)
-        return self._masks[t]
-
     def hidden_states(self, tokens: np.ndarray, mode: str = "optimized",
                       training: bool = False) -> tuple[Tensor, list[RoutingStats]]:
         tokens = np.asarray(tokens)
@@ -338,14 +301,13 @@ class ToyModel:
         flat = tokens.reshape(-1)
         pos = np.tile(np.arange(seq_len), n_seqs)
         h = Tensor(self.base.tok_emb.data[flat] + self.base.pos_emb.data[pos])
-        mask = self._mask(seq_len)
         rng = self.adapters.dropout_rng if self.adapters is not None else None
         stats: list[RoutingStats] = []
         for i, (lw, block) in enumerate(zip(self.base.layers, self.blocks)):
             la = self.adapters.layers[i] if self.adapters is not None else None
             with flop_labels(layer=i):
-                h, st = layer_forward(lw, la, block, h, mode, n_seqs, seq_len,
-                                      self.config.n_heads, mask, training, rng)
+                h, st = layer_forward(lw, la, block, h, mode, n_seqs,
+                                      self.config.n_heads, training, rng)
             if not np.all(np.isfinite(h.data)):
                 raise NumericError(f"non-finite activations in layer {i}")
             if st is not None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .lora import FrozenLinear, LoraAdapter, lora_delta
+from .lora import INIT_STD, FrozenLinear, LoraAdapter, lora_delta
 from .numerics import (
     Tensor,
     add,
@@ -79,8 +79,8 @@ class Router:
 
     @classmethod
     def create(cls, n_experts: int, d_model: int, top_k: int,
-               rng: np.random.Generator, dtype=np.float64, init_std: float = 0.02) -> "Router":
-        wr = Tensor(rng.normal(0.0, init_std, size=(n_experts, d_model)).astype(dtype),
+               rng: np.random.Generator, dtype=np.float64) -> "Router":
+        wr = Tensor(rng.normal(0.0, INIT_STD, size=(n_experts, d_model)).astype(dtype),
                     requires_grad=True)
         return cls(wr, top_k)
 

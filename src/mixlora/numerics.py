@@ -5,14 +5,16 @@ precision and float32 the benchmark precision. Ops record onto the
 innermost active ``Tape`` only when some input has ``requires_grad``, so
 forward-only evaluation (no tape) carries no recording overhead.
 
-Broadcasting is deliberately narrow: elementwise ops accept exact-shape
-operands or a 1-D row vector broadcast over the rows of a 2-D operand.
-Everything else is a ``DimensionError``.
+Broadcasting is deliberately narrow: elementwise ops take operands of
+exactly the same shape, and anything else is a ``DimensionError``. No tensor
+has more than two dimensions: ``causal_attention`` alone reshapes to four,
+``[sequences, heads, T, d_head]``, and only inside itself.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -263,19 +265,25 @@ def silu(a: Tensor) -> Tensor:
     return out
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:  # y = softmax(x), g = dL/dy
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax over the last dimension."""
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(a.data)
     out = Tensor(y)
     tape = _tape_for(a)
     if tape is not None:
         out.requires_grad = True
 
         def bwd(g, a=a, y=y):
-            _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+            _accum(a, _softmax_grad(y, g))
 
         tape._record(out, (a,), bwd)
     return out
@@ -402,49 +410,21 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     return out
 
 
-def take_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    """Slice columns [j0, j1) of a 2-D tensor."""
-    if a.ndim != 2 or not (0 <= j0 < j1 <= a.shape[1]):
-        raise DimensionError(f"take_cols: bad slice [{j0},{j1}) for shape {a.shape}")
-    out = Tensor(a.data[:, j0:j1].copy())
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
-
-        def bwd(g, a=a, j0=j0, j1=j1):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, j0:j1] += g
-
-        tape._record(out, (a,), bwd)
-    return out
-
-
-def _concat(parts: list[Tensor], axis: int) -> Tensor:
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    out = Tensor(data)
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    """Stack 2-D tensors with equal column counts on top of each other."""
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
     tape = _tape_for(*parts)
     if tape is not None:
         out.requires_grad = True
-        sizes = [p.shape[axis] for p in parts]
 
-        def bwd(g, parts=parts, sizes=sizes, axis=axis):
+        def bwd(g, parts=parts):
             off = 0
-            for p, sz in zip(parts, sizes):
-                sl = (slice(None), slice(off, off + sz)) if axis == 1 else slice(off, off + sz)
-                _accum(p, g[sl])
-                off += sz
+            for p in parts:
+                _accum(p, g[off:off + p.shape[0]])
+                off += p.shape[0]
 
         tape._record(out, tuple(parts), bwd)
     return out
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    return _concat(parts, axis=1)
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    return _concat(parts, axis=0)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -459,6 +439,55 @@ def transpose(a: Tensor) -> Tensor:
             _accum(a, g.T)
 
         tape._record(out, (a,), bwd)
+    return out
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_seqs: int,
+                     n_heads: int) -> Tensor:
+    """Multi-head causal self-attention core, softmax(q k^T / sqrt(d_head)) v.
+
+    q, k, v and the output are [n_seqs * T, d]: n_seqs sequences of T rows,
+    heads side by side in the columns; row t attends to rows 0..t of its own
+    sequence. Each product, forward and backward, is the one the 2-D chain
+    matmul/scale/add/softmax_lastdim computes per (sequence, head), so the
+    results equal that chain's bit for bit.
+    """
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(f"causal_attention: shapes {q.shape}/{k.shape}/{v.shape}")
+    rows, d = q.shape
+    if n_seqs < 1 or rows % n_seqs or n_heads < 1 or d % n_heads:
+        raise DimensionError(f"causal_attention: {q.shape} does not split into "
+                             f"{n_seqs} sequences of {n_heads} heads")
+    t, d_head = rows // n_seqs, d // n_heads
+    inv_sqrt = 1.0 / math.sqrt(d_head)
+
+    def split(x):  # [rows, d] -> [n_seqs, n_heads, t, d_head] view
+        return x.reshape(n_seqs, t, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    def merge(x):  # inverse of split, into a new [rows, d] array
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    def swap(x):  # transpose of every head
+        return x.swapaxes(-1, -2)
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    _count_matmul(n_seqs * n_heads * t, d_head, t)
+    _count_matmul(n_seqs * n_heads * t, t, d_head)
+    mask = np.triu(np.full((t, t), -np.inf, dtype=q.dtype), k=1)
+    p = _softmax((qs @ swap(ks)) * inv_sqrt + mask)
+    out = Tensor(merge(p @ vs))
+    tape = _tape_for(q, k, v)
+    if tape is not None:
+        out.requires_grad = True
+
+        def bwd(g, q=q, k=k, v=v, p=p):
+            gs = split(g)
+            ds = _softmax_grad(p, gs @ swap(vs)) * inv_sqrt
+            _accum(q, merge(ds @ ks))
+            _accum(k, merge(swap(swap(qs) @ ds)))
+            _accum(v, merge(swap(p) @ gs))
+
+        tape._record(out, (q, k, v), bwd)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Adam with decoupled weight decay, over a fixed parameter list."""
+"""Adam over a fixed parameter list."""
 
 from __future__ import annotations
 
@@ -6,23 +6,15 @@ import numpy as np
 
 from .numerics import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 2e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[Tensor], lr: float = 2e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         # Moments allocated eagerly so the memory census is exact up front.
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -30,20 +22,17 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

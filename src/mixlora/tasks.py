@@ -60,10 +60,6 @@ class SyntheticTask:
         return 2 * self.payload_len + 2
 
     @property
-    def targets_per_sample(self) -> int:
-        return 1 if self.kind == "parity-classify" else self.payload_len
-
-    @property
     def candidate_ids(self) -> np.ndarray:
         """Ids eligible as answers; accuracy is argmax over these."""
         if self.kind == "parity-classify":

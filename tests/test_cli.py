@@ -45,6 +45,19 @@ def test_train_writes_checkpoint_and_metrics(tmp_path, config_path, capsys):
     assert [json.loads(line)["expert_load"] for line in lines] == [[[1.0]], [[1.0]]]
 
 
+def test_train_to_unwritable_paths_exits_2(tmp_path, config_path, capsys):
+    # A missing directory fails before any step runs; a directory in place
+    # of the checkpoint file fails at the save. Neither leaves a checkpoint.
+    missing = tmp_path / "missing" / "x.ckpt"
+    assert main(["train", "--config", config_path, "--out", str(missing)]) == 2
+    assert not missing.parent.exists()
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(["train", "--config", config_path, "--out", str(taken)]) == 2
+    assert taken.is_dir() and not any(taken.iterdir())
+    assert "error: cannot write" in capsys.readouterr().err
+
+
 def test_eval_and_inspect_routing_on_a_one_expert_checkpoint(ckpt, capsys):
     code, out = run(["eval", "--ckpt", ckpt, "--task", "copy"], capsys)
     assert code == 0

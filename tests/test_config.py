@@ -5,7 +5,13 @@ import pytest
 from mixlora.bench import config_hash
 from mixlora.cli import main
 from mixlora import config as config_mod
-from mixlora.config import ModelConfig, RunConfig, frozen_parameter_count, trainable_parameter_count
+from mixlora.config import (
+    ModelConfig,
+    RunConfig,
+    frozen_parameter_count,
+    step_activation_elements,
+    trainable_parameter_count,
+)
 from mixlora.errors import ConfigError
 
 # The flat JSON of the default RunConfig; keys sorted.
@@ -112,6 +118,31 @@ def test_size_limit_counts_the_base_and_one_adapter_set(monkeypatch):
     monkeypatch.setattr(config_mod, "MAX_ELEMENTS", size - 1)
     with pytest.raises(ConfigError):
         config.validate()
+
+
+def test_huge_batch_size_is_a_config_error(tmp_path, capsys):
+    text = '{"batch_size": ' + str(10**12) + ', "steps": 1}'
+    with pytest.raises(ConfigError, match="batch_size .* above the limit"):
+        RunConfig.from_json(text)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
+    assert "above the limit" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("dims", [
+    {},  # [B*T, vocab_size] rows are the largest: 2**19 elements per sequence
+    {"vocab_size": 16, "d_model": 8, "n_heads": 8, "d_ff": 8, "lora_rank": 2,
+     "max_seq_len": 4096},  # the [B, n_heads, T, T] scores are the largest
+])
+def test_batch_size_limit_is_the_largest_step_array(dims):
+    per_seq = step_activation_elements(RunConfig(batch_size=1, **dims))
+    largest = config_mod.MAX_ELEMENTS // per_seq
+    assert largest * per_seq == config_mod.MAX_ELEMENTS
+    RunConfig(batch_size=largest, **dims).validate()
+    with pytest.raises(ConfigError, match="batch_size"):
+        RunConfig(batch_size=largest + 1, **dims).validate()
 
 
 def test_numbers_in_float_fields_may_be_integers():

@@ -91,9 +91,7 @@ def test_single_token_attention_reduces_to_value_path(rng):
     from mixlora.numerics import Tensor
 
     x = Tensor(rng.normal(size=(1, SMALL.d_model)))
-    mask = model._mask(1)
-    out = attention_forward(lw, model.adapters.layers[0].attn, x, 1, 1,
-                            SMALL.n_heads, mask)
+    out = attention_forward(lw, model.adapters.layers[0].attn, x, 1, SMALL.n_heads)
     expected = (x.data @ lw.wv.w.data.T) @ lw.wo.w.data.T
     assert np.abs(out.data - expected).max() < 1e-12
 
@@ -107,19 +105,22 @@ def test_attention_matches_reference_implementation(rng):
 
     t, d, nh = 5, SMALL.d_model, SMALL.n_heads
     dh = d // nh
-    x = rng.normal(size=(t, d))
-    out = attention_forward(lw, None, Tensor(x), 1, t, nh, model._mask(t))
-    q, k, v = x @ lw.wq.w.data.T, x @ lw.wk.w.data.T, x @ lw.wv.w.data.T
-    ref = np.zeros((t, d))
-    for h in range(nh):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = (q[:, sl] @ k[:, sl].T) / np.sqrt(dh)
-        scores = np.where(np.tril(np.ones((t, t))) > 0, scores, -np.inf)
-        w = np.exp(scores - scores.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        ref[:, sl] = w @ v[:, sl]
-    ref = ref @ lw.wo.w.data.T
-    assert np.abs(out.data - ref).max() < 1e-12
+    for n_seqs in (1, 3):
+        x = rng.normal(size=(n_seqs * t, d))
+        out = attention_forward(lw, None, Tensor(x), n_seqs, nh)
+        q, k, v = x @ lw.wq.w.data.T, x @ lw.wk.w.data.T, x @ lw.wv.w.data.T
+        ref = np.zeros((n_seqs * t, d))
+        for b in range(n_seqs):
+            rows = slice(b * t, (b + 1) * t)
+            for h in range(nh):
+                sl = slice(h * dh, (h + 1) * dh)
+                scores = (q[rows, sl] @ k[rows, sl].T) / np.sqrt(dh)
+                scores = np.where(np.tril(np.ones((t, t))) > 0, scores, -np.inf)
+                w = np.exp(scores - scores.max(axis=1, keepdims=True))
+                w /= w.sum(axis=1, keepdims=True)
+                ref[rows, sl] = w @ v[rows, sl]
+        ref = ref @ lw.wo.w.data.T
+        assert np.abs(out.data - ref).max() < 1e-12
 
 
 def test_residual_structure(rng):
@@ -135,12 +136,11 @@ def test_residual_structure(rng):
     h = Tensor(model.base.tok_emb.data[flat] + model.base.pos_emb.data[pos])
     lw = model.base.layers[0]
     la = model.adapters.layers[0]
-    out, _ = layer_forward(lw, la, model.blocks[0], h, "optimized", 1, 4,
-                           SMALL.n_heads, model._mask(4))
+    out, _ = layer_forward(lw, la, model.blocks[0], h, "optimized", 1, SMALL.n_heads)
     from mixlora.model import attention_forward
 
     x1 = layer_norm(h, lw.ln1_g, lw.ln1_b)
-    z = attention_forward(lw, la.attn, x1, 1, 4, SMALL.n_heads, model._mask(4)).data + h.data
+    z = attention_forward(lw, la.attn, x1, 1, SMALL.n_heads).data + h.data
     x2 = layer_norm(Tensor(z), lw.ln2_g, lw.ln2_b)
     fout, _ = model.blocks[0].forward(x2, "optimized")
     assert np.abs((out.data - z) - fout.data).max() < 1e-12

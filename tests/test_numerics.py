@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from mixlora.numerics import (
     Tensor,
     add,
     backward,
-    concat_cols,
+    causal_attention,
     concat_rows,
     cross_entropy,
     dropout,
@@ -22,7 +23,6 @@ from mixlora.numerics import (
     softmax_lastdim,
     sum_all,
     sum_axis0,
-    take_cols,
     take_elems,
     take_rows,
     topk_gates,
@@ -280,16 +280,68 @@ def test_take_elems_and_scale_rows_grads(rng):
 def test_concat_take_cols_transpose_grads(rng):
     a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 5)))
-    grad_check(lambda: sum_all(mul(concat_cols([a, b]), w)), [a, b], tol=1e-6)
     w2 = Tensor(rng.normal(size=(6, 2)))
     grad_check(lambda: sum_all(mul(concat_rows([a, a]), w2)), [a], tol=1e-6)
-    w3 = Tensor(rng.normal(size=(3, 1)))
-    grad_check(lambda: sum_all(mul(take_cols(b, 1, 2), w3)), [b], tol=1e-6)
     w4 = Tensor(rng.normal(size=(2, 3)))
     grad_check(lambda: sum_all(mul(transpose(a), w4)), [a], tol=1e-6)
     w5 = Tensor(rng.normal(size=3))
     grad_check(lambda: sum_all(mul(sum_axis0(b), w5)), [b], tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# causal attention
+# ---------------------------------------------------------------------------
+
+
+def test_causal_attention_gradient(rng):
+    q, k, v = (Tensor(rng.normal(size=(15, 6)), requires_grad=True) for _ in range(3))
+    w = Tensor(rng.normal(size=(15, 6)))
+
+    def loss():
+        return sum_all(mul(causal_attention(q, k, v, 3, 2), w))
+
+    grad_check(loss, [q, k, v], tol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_attention_equals_per_head_loop_bitwise(rng, dtype):
+    # The per-(sequence, head) chain of 2-D ops the op replaced, bit for bit.
+    # d_head 3 makes 1/sqrt(d_head) inexact, so scaling another product
+    # than the chain does changes the bits.
+    n_seqs, n_heads, t, dh = 3, 2, 5, 3
+    data = [rng.normal(size=(n_seqs * t, n_heads * dh)).astype(dtype) for _ in range(4)]
+    q, k, v = (Tensor(x.copy(), requires_grad=True) for x in data[:3])
+    tape = Tape()
+    with tape:
+        out = causal_attention(q, k, v, n_seqs, n_heads)
+        loss = sum_all(mul(out, Tensor(data[3])))
+    backward(tape, loss)
+    mask = Tensor(np.triu(np.full((t, t), -np.inf, dtype=dtype), k=1))
+    for b in range(n_seqs):
+        for h in range(n_heads):
+            blk = (slice(b * t, (b + 1) * t), slice(h * dh, (h + 1) * dh))
+            qh, kh, vh = (Tensor(x[blk].copy(), requires_grad=True) for x in data[:3])
+            tape = Tape()
+            with tape:
+                scores = add(scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh)), mask)
+                oh = matmul(softmax_lastdim(scores), vh)
+                loss = sum_all(mul(oh, Tensor(data[3][blk].copy())))
+            backward(tape, loss)
+            assert np.array_equal(out.data[blk], oh.data)
+            for full, part in ((q, qh), (k, kh), (v, vh)):
+                assert np.array_equal(full.grad[blk], part.grad)
+
+
+def test_causal_attention_shape_errors(rng):
+    x = Tensor(rng.normal(size=(6, 4)))
+    with pytest.raises(DimensionError):
+        causal_attention(x, x, Tensor(rng.normal(size=(6, 2))), 2, 2)
+    with pytest.raises(DimensionError):
+        causal_attention(x, Tensor(rng.normal(size=(4, 4))), x, 2, 2)
+    with pytest.raises(DimensionError):
+        causal_attention(x, x, x, 4, 2)  # 6 rows do not split into 4 sequences
+    with pytest.raises(DimensionError):
+        causal_attention(x, x, x, 2, 3)  # 4 columns do not split into 3 heads
 
 
 # ---------------------------------------------------------------------------
