@@ -18,7 +18,7 @@ from .errors import (
     DimensionError,
     NumericError,
 )
-from .lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta, merged_weight
+from .lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta
 from .model import (
     AdapterSet,
     Batch,

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import MAX_ELEMENTS, frozen_parameter_count, trainable_parameter_count
 from .errors import ContractError
 from .lora import FrozenLinear
 from .model import AdapterSet, ModelConfig
@@ -127,8 +128,10 @@ def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MixLoraBlock:
-    """A standalone block at the model's dimensions with its own tiny base."""
+def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32
+               ) -> tuple[MixLoraBlock, AdapterSet]:
+    """A standalone block at the model's dimensions with its own tiny base,
+    and the adapter set whose buffers hold its trainable tensors."""
     rng = np.random.default_rng([int(seed), 4])
     d, dff = config.d_model, config.d_ff
 
@@ -141,8 +144,9 @@ def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MixLoraB
     for triple in la.experts.triples:
         for ad in (triple.w1, triple.w3, triple.w2):
             ad.b.data[...] = rng.normal(0.0, 0.02, size=ad.b.shape).astype(dtype)
-    return MixLoraBlock(la.router, ffn, la.experts,
-                        aux_coef=config.aux_coef, layer_index=0)
+    block = MixLoraBlock(la.router, ffn, la.experts,
+                         aux_coef=config.aux_coef, layer_index=0)
+    return block, aset
 
 
 def measure_latency(config: ModelConfig, mode: str, phase: str,
@@ -171,16 +175,12 @@ def _time_modes(config: ModelConfig, modes: list[str], phase: str,
         raise ContractError("timed_iters must be >= 1")
     if phase not in ("forward", "backward", "inference"):
         raise ContractError(f"unknown phase {phase!r}")
-    block = make_block(config, seed=seed, dtype=np.float32)
+    block, aset = make_block(config, seed=seed, dtype=np.float32)
     rng = np.random.default_rng([int(seed), 5])
     h = Tensor(rng.normal(0.0, 1.0, size=(tokens, config.d_model)).astype(np.float32))
-    params = [t for triple in block.experts.triples
-              for t in (triple.w1.a, triple.w1.b, triple.w3.a, triple.w3.b,
-                        triple.w2.a, triple.w2.b)] + [block.router.wr]
 
     def one_iter(mode: str) -> float:
-        for p in params:
-            p.grad = None
+        aset.optimizer.zero_grad()
         if phase == "inference":
             t0 = time.perf_counter()
             block.forward(h, mode, training=False)
@@ -223,7 +223,7 @@ def _time_modes(config: ModelConfig, modes: list[str], phase: str,
 def verify_mode_equivalence(config: ModelConfig, tokens: int = 256,
                             seed: int = 0, tol: float = 1e-4) -> float:
     """Max-abs output difference between the two paths at float32."""
-    block = make_block(config, seed=seed, dtype=np.float32)
+    block, _ = make_block(config, seed=seed, dtype=np.float32)
     rng = np.random.default_rng([int(seed), 5])
     h = Tensor(rng.normal(0.0, 1.0, size=(tokens, config.d_model)).astype(np.float32))
     out_v, _ = block.forward(h, "vanilla", training=False)
@@ -256,12 +256,21 @@ def compare_report(vanilla: LatencyReport, optimized: LatencyReport) -> dict:
 def run_bench(config: ModelConfig, modes: list[str], models: int = 1,
               tokens: int = 512, phases: tuple[str, ...] = ("forward", "inference"),
               warmup_iters: int = 3, timed_iters: int = 20, seed: int = 0) -> dict:
-    """Full benchmark: flop ledgers, latency per mode/phase, memory census."""
-    if models < 1:
-        raise ContractError("models must be >= 1")
-    for m in modes:
-        if m not in MODES:
-            raise ContractError(f"unknown mode {m!r}")
+    """Full benchmark: flop ledgers, latency per mode/phase, memory census.
+    Arguments are checked before any allocation, sizes against ``MAX_ELEMENTS``."""
+    widest = tokens * max(config.top_k * max(config.d_model, config.d_ff), config.n_experts)
+    census = frozen_parameter_count(config) + models * trainable_parameter_count(config)
+    unknown = set(modes) - set(MODES)
+    for bad, problem in (
+        (not modes or unknown, f"modes must be among {MODES}, got {modes}"),
+        (tokens < 1, f"tokens must be >= 1, got {tokens}"),
+        (models < 1, f"models must be >= 1, got {models}"),
+        (warmup_iters < 0, f"warmup_iters must be >= 0, got {warmup_iters}"),
+        (widest > MAX_ELEMENTS, f"tokens {tokens} need {widest} elements, above {MAX_ELEMENTS}"),
+        (census > MAX_ELEMENTS, f"models {models} need {census} elements, above {MAX_ELEMENTS}"),
+    ):
+        if bad:
+            raise ContractError(problem)
     verify_mode_equivalence(config, tokens=min(tokens, 256), seed=seed)
     flops = {m: count_flops(config, tokens, m).by_source() for m in modes}
     result: dict = {

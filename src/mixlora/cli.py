@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 usage/config/checkpoint problems, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -63,17 +64,20 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _open_out(path: str, what: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def cmd_train(args) -> int:
     config = load_config(args.config)
     if args.mode:
         config.mode = args.mode
     config.validate()
     metrics_path = args.out + ".metrics.jsonl"
-    try:
-        log = open(metrics_path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write metrics {metrics_path}: {exc}") from exc
-    with log:
+    with _open_out(metrics_path, "metrics") as log:
         model, metrics = train(config, multitask=args.multitask,
                                log_cb=lambda entry: log.write(json.dumps(entry) + "\n"))
     save_checkpoint(args.out, config, model)
@@ -148,8 +152,9 @@ def sweep_point(config_dict: dict, axis: str, value) -> dict:
 def run_sweep(config: RunConfig, axis: str, jobs: int = 1) -> list[dict]:
     values = SWEEP_AXES[axis]
     cfg = config.to_dict()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(values))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(sweep_point, [cfg] * len(values),
                                  [axis] * len(values), values))
     return [sweep_point(cfg, axis, v) for v in values]
@@ -157,11 +162,12 @@ def run_sweep(config: RunConfig, axis: str, jobs: int = 1) -> list[dict]:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    rows = run_sweep(config, args.axis, jobs=args.jobs)
-    lines = [json.dumps(row) for row in rows]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    with (_open_out(args.out, "sweep rows") if args.out else contextlib.nullcontext()) as out:
+        lines = [json.dumps(row) for row in run_sweep(config, args.axis, jobs=args.jobs)]
+        if args.out:
+            out.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 

@@ -90,9 +90,6 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def parameters(self) -> list[Tensor]:
-        return [self.a, self.b]
-
 
 def lora_delta(
     adapter: LoraAdapter,
@@ -123,12 +120,3 @@ def adapted_forward(
         )
     return add(base.apply(x), lora_delta(adapter, x, training, rng))
 
-
-def merged_weight(base: FrozenLinear, adapter: LoraAdapter) -> Tensor:
-    """W + (alpha/rank) * B A as a fresh tensor; base is left untouched."""
-    if base.d_in != adapter.d_in or base.d_out != adapter.d_out:
-        raise DimensionError(
-            f"adapter ({adapter.d_out}x{adapter.d_in}) does not match "
-            f"base ({base.d_out}x{base.d_in})"
-        )
-    return Tensor(base.w.data + adapter.scaling * (adapter.b.data @ adapter.a.data))

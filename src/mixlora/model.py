@@ -134,15 +134,31 @@ def _set_salt(set_id: str) -> int:
 
 
 class AdapterSet:
-    """All trainable state of one logical model over the shared frozen base."""
+    """All trainable state of one logical model over the shared frozen base.
+
+    Two flat buffers, ``data`` and ``grad``, hold every trainable tensor in
+    ``named_parameters()`` order; each tensor's ``.data`` and ``.grad`` are
+    views into them, which nothing may rebind. Backward adds into the grad
+    views and ``optimizer.zero_grad`` clears the buffer after each step, so
+    a gradient the loss did not reach reads zero."""
 
     def __init__(self, set_id: str, layers: list[LayerAdapters],
-                 aux_coef: float, dropout_rng: np.random.Generator):
+                 aux_coef: float, dropout_rng: np.random.Generator,
+                 lr: float = 2e-4):
         self.set_id = set_id
         self.layers = layers
         self.aux_coef = float(aux_coef)
         self.dropout_rng = dropout_rng
-        self.optimizer: Adam | None = None
+        tensors = [t for _, t in self.named_parameters()]
+        self.data = np.zeros(sum(t.data.size for t in tensors), tensors[0].dtype)
+        self.grad = np.zeros(self.data.size, self.data.dtype)
+        off = 0
+        for t in tensors:
+            end = off + t.data.size
+            self.data[off:end] = t.data.ravel()
+            t.data, t.grad = (buf[off:end].reshape(t.shape) for buf in (self.data, self.grad))
+            off = end
+        self.optimizer = Adam(self.data, self.grad, lr)
 
     @classmethod
     def create(
@@ -178,9 +194,7 @@ class AdapterSet:
             ]
             router = Router.create(config.n_experts, d, config.top_k, rng, dtype)
             layers.append(LayerAdapters(attn, ExpertAdapters(triples), router))
-        out = cls(set_id, layers, config.aux_coef, drop_rng)
-        out.optimizer = Adam(out.parameters(), lr=lr)
-        return out
+        return cls(set_id, layers, config.aux_coef, drop_rng, lr)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -199,14 +213,8 @@ class AdapterSet:
             out.append((f"{p}.router", la.router.wr))
         return out
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
-    def trainable_count(self) -> int:
-        return sum(t.data.size for t in self.parameters())
-
     def param_bytes(self) -> int:
-        return sum(t.data.nbytes for t in self.parameters())
+        return self.data.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +328,6 @@ class ToyModel:
         h, stats = self.hidden_states(tokens, mode, training)
         rows = take_rows(h, np.asarray(positions, dtype=np.intp))
         return self.base.head.apply(rows), stats
-
-    def logits_all(self, tokens: np.ndarray, mode: str = "optimized",
-                   training: bool = False) -> tuple[Tensor, list[RoutingStats]]:
-        h, stats = self.hidden_states(tokens, mode, training)
-        return self.base.head.apply(h), stats
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float64,

@@ -114,9 +114,6 @@ class ExpertTriple:
     w3: LoraAdapter
     w2: LoraAdapter
 
-    def parameters(self) -> list[Tensor]:
-        return self.w1.parameters() + self.w3.parameters() + self.w2.parameters()
-
 
 class ExpertAdapters:
     """All experts' LoRA triples; every triple shares rank and alpha."""
@@ -136,12 +133,6 @@ class ExpertAdapters:
 
     def __getitem__(self, k: int) -> ExpertTriple:
         return self.triples[k]
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for t in self.triples:
-            out.extend(t.parameters())
-        return out
 
 
 @dataclass

@@ -75,8 +75,7 @@ def multi_train_step(engine: MultiTaskEngine, batch: MultiTaskBatch,
 def memory_census(engine: MultiTaskEngine) -> dict:
     """Exact byte accounting: one frozen base + per-set trainables and moments."""
     per_param = [aset.param_bytes() for aset in engine.sets.values()]
-    per_opt = [aset.optimizer.state_bytes() if aset.optimizer else 0
-               for aset in engine.sets.values()]
+    per_opt = [aset.optimizer.state_bytes() for aset in engine.sets.values()]
     per_set = [p + o for p, o in zip(per_param, per_opt)]
     base = engine.base.nbytes()
     return {

@@ -27,19 +27,24 @@ def task_suite(config: RunConfig) -> tuple[list[SyntheticTask], list[TaskData]]:
 
 
 def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
-    """One forward/backward/update; only adapter-set parameters change."""
-    if model.adapters is None or model.adapters.optimizer is None:
-        raise ContractError("train_step needs an adapter set with an optimizer")
-    opt = model.adapters.optimizer
+    """One forward/backward/update; only adapter-set parameters change.
+
+    Backward adds into the set's gradient buffer, zero at entry, so entries
+    the loss did not reach stay zero. One ``isfinite`` checks the whole buffer;
+    only a failure looks up the offending tensor's name."""
+    aset = model.adapters
+    if aset is None:
+        raise ContractError("train_step needs an adapter set")
     tape = Tape()
     with tape:
         out = model_loss(model, batch, mode, training=True)
     backward(tape, out.total)
-    for name, t in model.adapters.named_parameters():
-        if t.grad is not None and not np.all(np.isfinite(t.grad)):
-            raise NumericError(f"non-finite gradient for {name}")
-    opt.step()
-    opt.zero_grad()
+    if not np.isfinite(aset.grad).all():
+        name = next(name for name, t in aset.named_parameters()
+                    if not np.isfinite(t.grad).all())
+        raise NumericError(f"non-finite gradient for {name}")
+    aset.optimizer.step()
+    aset.optimizer.zero_grad()
     return {
         "total": out.total.item(),
         "task": out.task.item(),

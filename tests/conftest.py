@@ -34,6 +34,21 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray,
     return float((np.abs(a - n) / denom).max())
 
 
+def assert_flat_views(aset) -> None:
+    """Every trainable tensor's data and grad view the set's flat buffers at
+    its offset in named_parameters() order, and together they cover them."""
+    def address(arr):
+        return arr.__array_interface__["data"][0]
+
+    off = 0
+    for name, t in aset.named_parameters():
+        for arr, buf in ((t.data, aset.data), (t.grad, aset.grad)):
+            assert arr.base is buf and arr.flags.c_contiguous, name
+            assert address(arr) == address(buf) + off * buf.itemsize, name
+        off += t.data.size
+    assert off == aset.data.size == aset.grad.size
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -25,7 +25,7 @@ CFG = ModelConfig(
 
 
 def instrumented_counts(config, tokens, mode, seed=0):
-    block = make_block(config, seed=seed, dtype=np.float64)
+    block, _ = make_block(config, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
     h = Tensor(rng.normal(size=(tokens, config.d_model)))
     ledger = FlopLedger()

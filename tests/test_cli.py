@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from mixlora import bench, cli
 from mixlora.cli import main
 
 # A one-expert, top-1 mixture: the plain LoRA baseline.
@@ -85,6 +86,70 @@ def test_sweep_sequential(tmp_path, config_path, capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["value"] for r in rows] == [0.0, 1e-3, 1e-2, 1e-1]
     assert rows_path.read_text().splitlines() == out.splitlines()
+
+
+def test_sweep_to_a_missing_directory_exits_2_before_training(tmp_path, config_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a sweep point trained"))
+    missing = tmp_path / "missing" / "rows.jsonl"
+    assert main(["sweep", "--config", config_path, "--axis", "aux_coef",
+                 "--out", str(missing)]) == 2
+    assert not missing.parent.exists()
+    assert "error: cannot write sweep rows" in capsys.readouterr().err
+
+
+class FakePool:
+    """Records the worker count it is asked for and maps in this process."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        FakePool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_jobs_are_bounded_by_the_points_and_below_by_one(config_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "workers", [])
+    code, out = run(["sweep", "--config", config_path, "--axis", "aux_coef",
+                     "--jobs", "100000"], capsys)
+    assert code == 0 and len(out.splitlines()) == len(cli.SWEEP_AXES["aux_coef"])
+    assert FakePool.workers == [len(cli.SWEEP_AXES["aux_coef"])]
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a sweep point trained"))
+    for jobs in ("0", "-4"):
+        assert main(["sweep", "--config", config_path, "--axis", "aux_coef",
+                     "--jobs", jobs]) == 2
+    assert FakePool.workers == [len(cli.SWEEP_AXES["aux_coef"])]
+    assert capsys.readouterr().err.count("error: --jobs must be >= 1") == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--tokens", "0"],
+    ["--tokens", "-5"],
+    ["--warmup-iters", "-3"],
+    ["--modes", ","],
+    ["--models", "0"],
+    ["--tokens", str(10**12)],
+    ["--models", str(10**12)],
+])
+def test_bench_bad_arguments_exit_2_before_allocating(config_path, monkeypatch,
+                                                      capsys, args):
+    def refuse(*a, **k):
+        pytest.fail("bench allocated before validating its arguments")
+
+    monkeypatch.setattr(bench, "make_block", refuse)
+    monkeypatch.setattr(bench, "_bench_memory", refuse)
+    assert main(["bench", "--config", config_path] + args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["eval", "inspect-routing"])

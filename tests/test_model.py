@@ -16,7 +16,7 @@ from mixlora.model import (
 )
 from mixlora.numerics import Tape, backward
 from mixlora.train import train_step
-from conftest import fd_grad, max_rel_err
+from conftest import assert_flat_views, fd_grad, max_rel_err
 
 SMALL = ModelConfig(
     vocab_size=32, d_model=8, n_heads=2, d_ff=12, n_layers=1, n_experts=2,
@@ -36,6 +36,16 @@ def make_batch(rng, config, n_seqs=2, seq_len=6):
     positions = np.arange(n_seqs * seq_len - 1)  # next-token everywhere
     labels = tokens.reshape(-1)[1:]
     return Batch(tokens=tokens, positions=positions, labels=labels)
+
+
+def logits_all(model, tokens, mode="optimized"):
+    """Head logits at every position."""
+    h, stats = model.hidden_states(tokens, mode)
+    return model.base.head.apply(h), stats
+
+
+def adapter_tensors(aset):
+    return [t for _, t in aset.named_parameters()]
 
 
 def randomize_adapters(model, rng, std=0.2):
@@ -70,8 +80,8 @@ def test_zero_init_adapters_match_dense_model(rng):
     for _ in range(3):
         tokens = random_tokens(rng, SMALL)
         for mode in ("vanilla", "optimized"):
-            got, _ = model.logits_all(tokens, mode)
-            ref, _ = dense.logits_all(tokens)
+            got, _ = logits_all(model, tokens, mode)
+            ref, _ = logits_all(dense, tokens)
             assert np.abs(got.data - ref.data).max() < 1e-12
 
 
@@ -79,8 +89,8 @@ def test_mode_equivalence_end_to_end(rng):
     model = build_model(SMALL, seed=5)
     randomize_adapters(model, rng)
     tokens = random_tokens(rng, SMALL, n_seqs=3, seq_len=8)
-    lv, _ = model.logits_all(tokens, "vanilla")
-    lo, _ = model.logits_all(tokens, "optimized")
+    lv, _ = logits_all(model, tokens, "vanilla")
+    lo, _ = logits_all(model, tokens, "optimized")
     assert np.abs(lv.data - lo.data).max() < 1e-8
 
 
@@ -149,7 +159,7 @@ def test_residual_structure(rng):
 def test_sequence_length_cap(rng):
     model = build_model(SMALL, seed=1)
     with pytest.raises(DimensionError):
-        model.logits_all(random_tokens(rng, SMALL, 1, SMALL.max_seq_len + 1))
+        logits_all(model, random_tokens(rng, SMALL, 1, SMALL.max_seq_len + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +211,7 @@ def test_every_trainable_parameter_gradient(rng):
     backward(tape, loss)
     named = model.adapters.named_parameters()
     analytic = {name: p.grad.copy() for name, p in named}
-    for _, p in named:
-        p.grad = None
+    model.adapters.optimizer.zero_grad()
     worst = 0.0
     for name, p in named:
         fd = fd_grad(lambda: build().item(), p)
@@ -220,9 +229,37 @@ def test_every_trainable_parameter_gradient(rng):
 def test_trainable_census_formula_and_default_value():
     assert trainable_parameter_count(DESK) == 164_864
     model = build_model(SMALL, seed=1)
-    assert model.adapters.trainable_count() == trainable_parameter_count(SMALL)
+    assert model.adapters.data.size == trainable_parameter_count(SMALL)
     desk_model = build_model(DESK, seed=1)
-    assert desk_model.adapters.trainable_count() == 164_864
+    assert desk_model.adapters.data.size == 164_864
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adapter_tensors_view_the_set_buffers(dtype):
+    aset = build_model(SMALL, seed=1, dtype=dtype).adapters
+    assert aset.data.dtype == aset.grad.dtype == dtype
+    assert_flat_views(aset)
+    assert not aset.grad.any()
+
+
+def test_unreached_expert_gradient_reads_zero(rng):
+    config = dataclasses.replace(SMALL, n_experts=4, top_k=1)
+    model = build_model(config, seed=4)
+    randomize_adapters(model, rng)
+    batch = make_batch(rng, config, n_seqs=4, seq_len=8)
+    out = train_step(model, batch)
+    assert (out["stats"][0].dispatch_counts > 0).all()  # every expert had a gradient
+    model.adapters.layers[0].router.wr.data[...] = 0.0  # tied logits: all go to expert 0
+    tape = Tape()
+    with tape:
+        loss = model_loss(model, batch, training=False).total
+    backward(tape, loss)
+    for k, tri in enumerate(model.adapters.layers[0].experts.triples):
+        grads = [t.grad for ad in (tri.w1, tri.w3, tri.w2) for t in (ad.a, ad.b)]
+        if k == 0:
+            assert all(g.any() for g in grads)
+        else:
+            assert not any(g.any() for g in grads), f"expert {k}"
 
 
 def test_one_expert_census_is_lora_plus_a_router_row():
@@ -231,7 +268,7 @@ def test_one_expert_census_is_lora_plus_a_router_row():
     lora = one.n_layers * (4 * r * (d + d) + 3 * r * (d + dff))
     assert trainable_parameter_count(one) == lora + one.n_layers * d == 34_944
     model = build_model(dataclasses.replace(SMALL, n_experts=1, top_k=1), seed=1)
-    assert model.adapters.trainable_count() == trainable_parameter_count(model.config) == 256
+    assert model.adapters.data.size == trainable_parameter_count(model.config) == 256
 
 
 def test_frozen_census_formula():
@@ -245,22 +282,22 @@ def test_one_expert_model_trains_as_the_lora_baseline(rng):
     model = build_model(one, seed=8, lr=1e-2)
     router = model.adapters.layers[0].router.wr
     start = router.data.copy()
-    adapters = [p.data.copy() for p in model.adapters.parameters()]
+    adapters = [p.data.copy() for p in adapter_tensors(model.adapters)]
     for _ in range(3):
         out = train_step(model, make_batch(rng, one))
         assert out["aux"] == pytest.approx(one.aux_coef, rel=1e-15)
     assert np.array_equal(router.data, start)
     moved = [not np.array_equal(p.data, a)
-             for p, a in zip(model.adapters.parameters(), adapters) if p is not router]
+             for p, a in zip(adapter_tensors(model.adapters), adapters) if p is not router]
     assert all(moved)
 
 
 def test_train_step_zero_lr_changes_nothing(rng):
     model = build_model(SMALL, seed=8, lr=0.0)
     batch = make_batch(rng, SMALL)
-    before = [p.data.copy() for p in model.adapters.parameters()]
+    before = [p.data.copy() for p in adapter_tensors(model.adapters)]
     train_step(model, batch)
-    for p, snap in zip(model.adapters.parameters(), before):
+    for p, snap in zip(adapter_tensors(model.adapters), before):
         assert np.array_equal(p.data, snap)
 
 

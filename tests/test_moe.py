@@ -39,6 +39,12 @@ def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
     return MixLoraBlock(router, ffn, ExpertAdapters(triples), aux_coef=aux_coef)
 
 
+def expert_params(block):
+    """Every expert's A and B tensors, expert by expert, in w1, w3, w2 order."""
+    return [t for tri in block.experts.triples for ad in (tri.w1, tri.w3, tri.w2)
+            for t in (ad.a, ad.b)]
+
+
 # ---------------------------------------------------------------------------
 # Independent per-token oracle (scalar-level loops, no shared code path)
 # ---------------------------------------------------------------------------
@@ -263,7 +269,7 @@ def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
     block = make_block(rng, n_experts=1, top_k=1, dropout_p=dropout_p)
     h_data = rng.normal(size=(13, 6))
     w = Tensor(rng.normal(size=(13, 6)))
-    params = block.experts.parameters()
+    params = expert_params(block)
 
     def run(forward):
         for p in params + [block.router.wr]:
@@ -301,7 +307,7 @@ def test_optimized_with_zero_adapters_is_plain_ffn(rng):
 
 def check_block_gradients(block, h_data, w):
     """Taped gradients of every block parameter vs finite differences, both modes."""
-    params = [block.router.wr] + block.experts.parameters()
+    params = [block.router.wr] + expert_params(block)
 
     def build(mode):
         out, stats = block.forward(Tensor(h_data), mode)
