@@ -9,6 +9,7 @@ benchmark precision; the end-to-end benchmark lives in ``perfbench/``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import statistics
@@ -55,19 +56,14 @@ class FlopLedger:
     def reset(self) -> None:
         self.counts.clear()
 
+    @contextlib.contextmanager
     def capture(self):
-        """Context manager: route matmul counts into this ledger."""
-        ledger = self
-
-        class _Capture:
-            def __enter__(self):
-                set_flop_hook(ledger.add)
-                return ledger
-
-            def __exit__(self, *exc):
-                set_flop_hook(None)
-
-        return _Capture()
+        """Route matmul counts into this ledger for the scope."""
+        set_flop_hook(self.add)
+        try:
+            yield self
+        finally:
+            set_flop_hook(None)
 
 
 def count_flops(config: ModelConfig, tokens: int, mode: str) -> FlopLedger:

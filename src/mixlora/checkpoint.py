@@ -115,7 +115,7 @@ def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, dict[str, np.ndarra
 
 
 def load_checkpoint(path: str) -> tuple[RunConfig, ToyModel]:
-    """Rebuild a model and restore every tensor bit-exactly."""
+    """Rebuild a model and restore every tensor bit-exactly; refuse NaN or inf."""
     config, tensors = read_records(path)
     model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
     named = dict(named_model_tensors(model))
@@ -135,6 +135,8 @@ def load_checkpoint(path: str) -> tuple[RunConfig, ToyModel]:
             raise CheckpointError(
                 f"{name}: dtype {arr.dtype} does not match model {target.data.dtype}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{name}: non-finite values")
         # In-place copy keeps frozen-weight transposed views coherent.
         target.data[...] = arr
     return config, model

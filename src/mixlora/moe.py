@@ -2,34 +2,39 @@
 
 Every expert is the same frozen (W1, W3, W2) block plus an expert-specific
 LoRA triple; a linear-softmax router picks the top-k experts per token and
-renormalizes their gates. ``mixlora_forward`` computes the same output two
-ways, selected by ``shared_base``:
+renormalizes their gates. ``mixlora_forward`` is ``route`` plus one tape op
+with a hand-written backward, in one of two modes set by ``shared_base``:
 
-* off (mode "vanilla"): each expert runs the full FFN on its routed token
-  subset, so the base projections are recomputed per expert (3*k GEMM-token
-  units).
-* on (mode "optimized"): the base W1/W3 products are computed once for all
-  tokens and gathered per expert; only the LoRA deltas and the W2 projection
-  remain per-expert work ((2+k) GEMM-token units).
+* off ("vanilla"): each expert runs the full FFN on its routed tokens, so
+  the base projections cost 3*k GEMM-token units.
+* on ("optimized"): the base W1/W3 products are computed once for all
+  tokens and gathered per expert, for (2+k) units.
 
-Dispatch is sort-based: one stable argsort of the flattened [T, k] expert
-choices groups the (token, expert) pairs into contiguous per-expert segments,
-each in ascending token order, with segment bounds from a bincount. The
-experts' W2 inputs are concatenated in that sorted order and pass through the
-frozen W2 in one GEMM (the same rows and multiply-adds as one GEMM per
-expert); the rows, plus their W2 LoRA deltas, are scaled by their gates in
-one op and combined by k row gathers through the inverse permutation.
+Dispatch is by index, with no padded copies: one stable argsort of the
+flattened [T, k] expert choices groups the (token, expert) pairs into
+per-expert segments of sorted rows, each in ascending token order, bounded
+by a bincount. A segment adds its LoRA deltas ``B ((alpha/r) A drop(x))`` to
+its base rows to form the pre-activations h1 and h3. silu(h1) * h3 of all
+segments passes through the frozen W2 in one GEMM; each row plus its W2 LoRA
+delta is scaled by its gate, and output row t sums its k rows.
 
-Dropout masks are drawn from ``rng`` in a fixed order: experts ascending, and
-within an expert the w1 adapter input, then w3, then w2, each mask covering
-the expert's rows in ascending token order. Experts that receive no token
-draw nothing.
+Backward keeps, per sorted row, h1 and h3, the three rank-r intermediates
+``(alpha/r) A drop(x)``, the dropout masks, the ungated expert output (the
+gate gradient needs it; keeping it saves a second W2 GEMM), the gate and the
+permutation. It recomputes the gathered inputs, the sigmoid and the SwiGLU
+product; nothing is kept when no input requires grad. Input-gradient rows
+are summed from the last expert to the first, then the shared W3 and W1
+terms, as the equivalent chain of 2-D tape ops sums them, so the two agree
+bit for bit.
 
-The plain LoRA baseline (one adapter triple on the frozen FFN, no routing) is
-this block with ``n_experts=1, top_k=1``: softmax over one logit is exactly
-1.0, so the gate scales by 1.0 and the output and adapter gradients equal the
-dense LoRA FFN's bit for bit. The router's gradient is exactly 0, so its
-``d_model`` weights per layer never move, and the balance loss is the
+Dropout masks are drawn from ``rng`` experts ascending, and within an expert
+for the w1 adapter input, then w3, then w2, each over the expert's rows in
+ascending token order. Experts that receive no token draw nothing.
+
+The plain LoRA baseline is this block with ``n_experts=1, top_k=1``: softmax
+over one logit is exactly 1.0, so output and adapter gradients equal the
+dense LoRA FFN's bit for bit, the router's gradient is exactly 0 (its
+``d_model`` weights per layer never move), and the balance loss is the
 constant ``aux_coef`` (up to rounding).
 """
 
@@ -40,21 +45,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .lora import INIT_STD, FrozenLinear, LoraAdapter, lora_delta
+from .lora import INIT_STD, FrozenLinear, LoraAdapter
+from .lora import lora_delta  # noqa: F401  (perfbench's tracer wraps moe.lora_delta by name)
 from .numerics import (
     Tensor,
-    add,
-    concat_rows,
+    _accum,
+    _count_matmul,
+    _sigmoid,
+    _tape_for,
+    dropout_mask,
     flop_labels,
     matmul,
     mul,
-    scale_rows,
     silu,
     softmax_lastdim,
     sum_all,
     sum_axis0,
-    take_elems,
-    take_rows,
     topk_gates,
     transpose,
 )
@@ -243,68 +249,119 @@ class MixLoraBlock:
         return mixlora_forward(self, h, mode == "optimized", training, rng)
 
 
-def _adapted(frozen: FrozenLinear, adapter: LoraAdapter, x: Tensor, proj: str,
-             training: bool, rng) -> Tensor:
-    with flop_labels(projection=proj, source="base"):
-        base = frozen.apply(x)
+def _lora_forward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None,
+                  proj: str) -> tuple[np.ndarray, np.ndarray]:
+    """(u, B u) with the rank-r intermediate u = (alpha/r) A drop(x)."""
     with flop_labels(projection=proj, source="lora"):
-        delta = lora_delta(adapter, x, training, rng)
-    return add(base, delta)
+        _count_matmul(x.shape[0], ad.d_in, ad.rank)
+        u = ((x if mask is None else x * mask) @ ad.a.data.T) * ad.scaling
+        _count_matmul(x.shape[0], ad.rank, ad.d_out)
+        return u, u @ ad.b.data.T
+
+
+def _lora_backward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None,
+                   u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Add the A and B gradients of B u for upstream g; return d/dx."""
+    _accum(ad.b, (u.T @ g).T)
+    gu = (g @ ad.b.data) * ad.scaling
+    _accum(ad.a, ((x if mask is None else x * mask).T @ gu).T)
+    dx = gu @ ad.a.data
+    return dx if mask is None else dx * mask
+
+
+def _base(frozen: FrozenLinear, x: np.ndarray, proj: str) -> np.ndarray:
+    with flop_labels(projection=proj, source="base"):
+        return frozen.apply(Tensor(x)).data
 
 
 def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
                     training: bool = False, rng: np.random.Generator | None = None
                     ) -> tuple[Tensor, RoutingStats]:
-    """Routed expert mixture over the rows of h, by sorted dispatch.
-
-    With shared_base the frozen W1/W3 products are computed once for all
-    tokens and gathered per expert; without it each expert recomputes them
-    on its own rows (the reference path).
-    """
-    ffn = block.ffn
+    """Routed expert mixture over the rows of h: ``route``, then one tape op
+    (see the module docstring); shared_base selects the optimized path."""
+    ffn, triples = block.ffn, block.experts.triples
     with flop_labels(layer=block.layer_index):
         gates, _, stats = route(block.router, h, block.count_topk_dispatch)
         sel = stats.topk_indices
         n_tok, top_k = sel.shape
         flat = sel.ravel()
         order = np.argsort(flat, kind="stable")
-        tok = order // top_k
+        tok, col = order // top_k, flat[order]  # token and expert of each sorted row
         bounds = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=block.n_experts))))
+        segs = [(e, bounds[e], bounds[e + 1]) for e in range(block.n_experts)
+                if bounds[e] < bounds[e + 1]]
+        params = [t for tri in triples for ad in (tri.w1, tri.w3, tri.w2) for t in (ad.a, ad.b)]
+        tape = _tape_for(h, gates, *params)
+        x, dff = h.data, ffn.d_ff
         if shared_base:
-            with flop_labels(projection="w1", source="base"):
-                h1_all = ffn.w1.apply(h)
-            with flop_labels(projection="w3", source="base"):
-                h3_all = ffn.w3.apply(h)
-        mids, d2s = [], []
-        for e in range(block.n_experts):
-            rows = tok[bounds[e]:bounds[e + 1]]
-            if rows.size == 0:
-                continue
-            triple = block.experts[e]
-            xe = take_rows(h, rows)
+            h1_all, h3_all = _base(ffn.w1, x, "w1"), _base(ffn.w3, x, "w3")
+        saved, mids, d2s = [], [], []
+        for e, a, b in segs:
+            tri, rows = triples[e], tok[a:b]
+            xe = x[rows]
+            m1, m3, m2 = (dropout_mask(shape, x.dtype, ad.dropout_p, rng, training)
+                          for ad, shape in ((tri.w1, xe.shape), (tri.w3, xe.shape),
+                                            (tri.w2, (b - a, dff))))
+            u1, delta1 = _lora_forward(tri.w1, xe, m1, "w1")
+            u3, delta3 = _lora_forward(tri.w3, xe, m3, "w3")
             if shared_base:
-                with flop_labels(projection="w1", source="lora"):
-                    h1 = add(take_rows(h1_all, rows), lora_delta(triple.w1, xe, training, rng))
-                with flop_labels(projection="w3", source="lora"):
-                    h3 = add(take_rows(h3_all, rows), lora_delta(triple.w3, xe, training, rng))
+                h1, h3 = h1_all[rows], h3_all[rows]
             else:
-                h1 = _adapted(ffn.w1, triple.w1, xe, "w1", training, rng)
-                h3 = _adapted(ffn.w3, triple.w3, xe, "w3", training, rng)
-            mid = mul(silu(h1), h3)
-            with flop_labels(projection="w2", source="lora"):
-                d2s.append(lora_delta(triple.w2, mid, training, rng))
-            mids.append(mid)
+                h1, h3 = _base(ffn.w1, xe, "w1"), _base(ffn.w3, xe, "w3")
+            h1 += delta1
+            h3 += delta3
+            mids.append((h1 * _sigmoid(h1)) * h3)
+            u2, d2 = _lora_forward(tri.w2, mids[-1], m2, "w2")
+            d2s.append(d2)
+            if tape is not None:
+                saved.append((e, a, b, (m1, m3, m2), h1, h3, u1, u3, u2))
         # W2 is the same frozen matrix for every expert: one GEMM over all
         # sorted rows replaces one per expert.
-        with flop_labels(projection="w2", source="base"):
-            y = add(ffn.w2.apply(concat_rows(mids)), concat_rows(d2s))
-        y = scale_rows(y, take_elems(gates, tok, flat[order]))
+        y = _base(ffn.w2, np.concatenate(mids), "w2")
+        y += np.concatenate(d2s)
+        gate = gates.data[tok, col]
+        ys = y * gate[:, None]
         # Sorted position of each (token, slot) pair: row t of the output sums
-        # the k rows of y at inv[t].
+        # the k rows of ys at inv[t].
         inv = np.argsort(order).reshape(n_tok, top_k)
-        out = take_rows(y, inv[:, 0])
-        for j in range(1, top_k):
-            out = add(out, take_rows(y, inv[:, j]))
+        out = Tensor(ys[inv].sum(axis=1))
+    if tape is None:
+        return out, stats
+    out.requires_grad = True
+
+    def bwd(g):  # keeps tok, col, saved, y and gate
+        gy = g[tok]
+        dgate = np.zeros_like(gates.data)
+        dgate[tok, col] = (gy * y).sum(axis=1)
+        _accum(gates, dgate)
+        gy *= gate[:, None]
+        dmid = gy @ ffn.w2.w.data
+        dh, dh1_all, dh3_all = (np.zeros((n_tok, n), x.dtype) for n in (x.shape[1], dff, dff))
+        for e, a, b, (m1, m3, m2), h1, h3, u1, u3, u2 in reversed(saved):
+            tri, rows = triples[e], tok[a:b]
+            s = _sigmoid(h1)
+            act = h1 * s
+            dm = dmid[a:b] + _lora_backward(tri.w2, act * h3, m2, u2, gy[a:b])
+            dh3 = dm * act
+            dh1 = (dm * h3) * (s * (1.0 + h1 * (1.0 - s)))
+            xe = x[rows]
+            dx3 = _lora_backward(tri.w3, xe, m3, u3, dh3)
+            dx1 = _lora_backward(tri.w1, xe, m1, u1, dh1)
+            if shared_base:
+                dx = dx3 + dx1
+                dh3_all[rows] += dh3
+                dh1_all[rows] += dh1
+            else:  # summed as the chain does: w3 LoRA, w3 base, w1 LoRA, w1 base
+                dx = dx3 + dh3 @ ffn.w3.w.data
+                dx += dx1
+                dx += dh1 @ ffn.w1.w.data
+            dh[rows] += dx
+        if shared_base:
+            dh += dh3_all @ ffn.w3.w.data
+            dh += dh1_all @ ffn.w1.w.data
+        _accum(h, dh)
+
+    tape._record(out, bwd)
     return out, stats
 
 

@@ -70,8 +70,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[tuple[Tensor, object]] = []  # (output, backward fn)
-        self._created: set[int] = set()
-        self.leaves: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -81,11 +79,7 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
-        for t in inputs:
-            if t.requires_grad and id(t) not in self._created:
-                self.leaves.setdefault(id(t), t)
-        self._created.add(id(out))
+    def _record(self, out: Tensor, backward_fn) -> None:
         self.nodes.append((out, backward_fn))
 
 
@@ -110,10 +104,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Reverse sweep: fill ``grad`` on every requires_grad leaf of the tape.
+    """Reverse sweep: add d(loss)/d(t) into ``grad`` of every requires_grad t.
 
-    Leaves not reachable from ``loss`` get a zero gradient of matching shape.
-    Forward data is never touched.
+    A leaf ``loss`` does not reach keeps its ``grad``: zeros for an adapter
+    set's views, None for a standalone tensor. Forward data is never touched.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -122,9 +116,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for out, fn in reversed(tape.nodes):
             if out.grad is not None:
                 fn(out.grad)
-    for leaf in tape.leaves.values():
-        if leaf.grad is None:
-            leaf.grad = np.zeros_like(leaf.data)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +173,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, g @ b.data.T)
             _accum(b, a.data.T @ g)
 
-        tape._record(out, (a, b), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -203,7 +194,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, g)
             _accum(b, g)
 
-        tape._record(out, (a, b), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -219,7 +210,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, g * b.data)
             _accum(b, g * a.data)
 
-        tape._record(out, (a, b), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -233,7 +224,7 @@ def scale(a: Tensor, c: float) -> Tensor:
         def bwd(g, a=a, c=c):
             _accum(a, g * c)
 
-        tape._record(out, (a,), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -261,7 +252,7 @@ def silu(a: Tensor) -> Tensor:
         def bwd(g, a=a, s=s):
             _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
 
-        tape._record(out, (a,), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -285,7 +276,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
         def bwd(g, a=a, y=y):
             _accum(a, _softmax_grad(y, g))
 
-        tape._record(out, (a,), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -318,7 +309,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             )
             _accum(x, dx)
 
-        tape._record(out, (x, gain, bias), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -332,7 +323,7 @@ def sum_all(a: Tensor) -> Tensor:
         def bwd(g, a=a):
             _accum(a, np.broadcast_to(g, a.shape).copy())
 
-        tape._record(out, (a,), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -348,7 +339,7 @@ def sum_axis0(a: Tensor) -> Tensor:
         def bwd(g, a=a):
             _accum(a, np.broadcast_to(g, a.shape).copy())
 
-        tape._record(out, (a,), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -370,60 +361,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
             else:
                 np.add.at(a.grad, idx, g)
 
-        tape._record(out, (a,), bwd)
-    return out
-
-
-def take_elems(a: Tensor, rows, col) -> Tensor:
-    """Gather a[rows, col] -> 1-D (col may be scalar or per-row array)."""
-    if a.ndim != 2:
-        raise DimensionError(f"take_elems: need 2-D, got {a.shape}")
-    rows = np.asarray(rows, dtype=np.intp)
-    out = Tensor(a.data[rows, col])
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
-
-        def bwd(g, a=a, rows=rows, col=col):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, (rows, col), g)
-
-        tape._record(out, (a,), bwd)
-    return out
-
-
-def scale_rows(x: Tensor, s: Tensor) -> Tensor:
-    """Multiply row m of x by scalar s[m]."""
-    if x.ndim != 2 or s.ndim != 1 or s.shape[0] != x.shape[0]:
-        raise DimensionError(f"scale_rows: incompatible shapes {x.shape} vs {s.shape}")
-    out = Tensor(x.data * s.data[:, None])
-    tape = _tape_for(x, s)
-    if tape is not None:
-        out.requires_grad = True
-
-        def bwd(g, x=x, s=s):
-            _accum(x, g * s.data[:, None])
-            _accum(s, (g * x.data).sum(axis=1))
-
-        tape._record(out, (x, s), bwd)
-    return out
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Stack 2-D tensors with equal column counts on top of each other."""
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    tape = _tape_for(*parts)
-    if tape is not None:
-        out.requires_grad = True
-
-        def bwd(g, parts=parts):
-            off = 0
-            for p in parts:
-                _accum(p, g[off:off + p.shape[0]])
-                off += p.shape[0]
-
-        tape._record(out, tuple(parts), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -438,7 +376,7 @@ def transpose(a: Tensor) -> Tensor:
         def bwd(g, a=a):
             _accum(a, g.T)
 
-        tape._record(out, (a,), bwd)
+        tape._record(out, bwd)
     return out
 
 
@@ -487,28 +425,23 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_seqs: int,
             _accum(k, merge(swap(swap(qs) @ ds)))
             _accum(v, merge(swap(p) @ gs))
 
-        tape._record(out, (q, k, v), bwd)
+        tape._record(out, bwd)
     return out
-
-
-def topk_indices(probs: np.ndarray, k: int) -> np.ndarray:
-    """Per-row indices of the k largest entries; ties go to the lowest index."""
-    order = np.argsort(-probs, axis=1, kind="stable")
-    return order[:, :k]
 
 
 def topk_gates(probs: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
     """Keep the k largest probs per row, renormalized to sum 1; zeros elsewhere.
 
-    Returns (gates, selected_indices). The index choice is treated as
-    constant: gradients flow only through the selected probabilities.
+    Returns (gates, selected_indices); ties go to the lowest index. The index
+    choice is treated as constant: gradients flow only through the selected
+    probabilities.
     """
     if probs.ndim != 2:
         raise DimensionError(f"topk_gates: need 2-D, got {probs.shape}")
     n = probs.shape[1]
     if not 1 <= k <= n:
         raise ContractError(f"topk_gates: k={k} outside [1, {n}]")
-    sel = topk_indices(probs.data, k)
+    sel = np.argsort(-probs.data, axis=1, kind="stable")[:, :k]
     selp = np.take_along_axis(probs.data, sel, axis=1)
     denom = selp.sum(axis=1, keepdims=True)
     gsel = selp / denom
@@ -527,7 +460,7 @@ def topk_gates(probs: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
             np.put_along_axis(dp, sel, dsel, axis=1)
             _accum(probs, dp)
 
-        tape._record(out, (probs,), bwd)
+        tape._record(out, bwd)
     return out, sel
 
 
@@ -559,17 +492,24 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             d[np.arange(m_rows), labels] -= 1.0
             _accum(logits, (g / m_rows) * d)
 
-        tape._record(out, (logits,), bwd)
+        tape._record(out, bwd)
     return out
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout on x when training; identity otherwise."""
+def dropout_mask(shape, dtype, p: float, rng: np.random.Generator | None,
+                 training: bool) -> np.ndarray | None:
+    """Inverted-dropout multipliers (0 or 1/(1-p)) drawn from rng when
+    training; None, drawing nothing, when nothing is dropped."""
     if not training or p <= 0.0:
-        return x
+        return None
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout: p={p} outside [0, 1)")
     if rng is None:
         raise ContractError("dropout: rng required when training with p > 0")
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return mul(x, Tensor(mask))
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
+    """Inverted dropout on x when training; identity otherwise."""
+    mask = dropout_mask(x.shape, x.dtype, p, rng, training)
+    return x if mask is None else mul(x, Tensor(mask))

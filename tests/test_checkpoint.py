@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixlora.checkpoint import load_checkpoint, named_model_tensors, read_records, save_checkpoint
+from mixlora.cli import main
 from mixlora.config import RunConfig
 from mixlora.errors import CheckpointError
 from mixlora.model import build_model
@@ -85,3 +86,16 @@ def test_unreadable_paths_are_checkpoint_errors(tmp_path):
         read_records(str(tmp_path / "missing"))
     with pytest.raises(CheckpointError, match="cannot read"):
         read_records(str(tmp_path))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("record", ["set.layer0.router", "set.layer0.expert1.w2.B",
+                                    "base.layer0.ffn.w1"])
+def test_non_finite_records_exit_2(tmp_path, capsys, record, value):
+    model = build_model(TINY.model(), seed=TINY.seed, dtype=TINY.dtype, lr=TINY.lr)
+    dict(named_model_tensors(model))[record].data.flat[0] = value
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, TINY, model)
+    for command in ("eval", "inspect-routing"):
+        assert main([command, "--ckpt", path, "--task", "copy"]) == 2
+        assert f"{record}: non-finite" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mixlora import numerics
 from mixlora.errors import ContractError
-from mixlora.lora import FrozenLinear, LoraAdapter, adapted_forward
+from mixlora.lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta
 from mixlora.moe import (
     ExpertAdapters,
     ExpertTriple,
@@ -17,25 +18,28 @@ from mixlora.moe import (
     mixlora_forward,
     route,
 )
-from mixlora.numerics import Tape, Tensor, add, backward, silu, sum_all, mul
+from mixlora.numerics import (
+    Tape, Tensor, _accum, _tape_for, add, backward, mul, silu, sum_all, take_rows,
+)
 from conftest import fd_grad, max_rel_err
 
 
 def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
-               zero_adapters=False, aux_coef=0.01, dropout_p=0.0):
+               zero_adapters=False, aux_coef=0.01, dropout_p=0.0, dtype=np.float64):
     def lin(rows, cols):
-        return FrozenLinear(rng.normal(0, 0.5, (rows, cols)))
+        return FrozenLinear(rng.normal(0, 0.5, (rows, cols)).astype(dtype))
 
     def adapter(d_in, d_out):
-        a = Tensor(rng.normal(0, 0.4, (rank, d_in)), requires_grad=True)
+        a = Tensor(rng.normal(0, 0.4, (rank, d_in)).astype(dtype), requires_grad=True)
         b_data = np.zeros((d_out, rank)) if zero_adapters else rng.normal(0, 0.4, (d_out, rank))
-        b = Tensor(b_data, requires_grad=True)
+        b = Tensor(b_data.astype(dtype), requires_grad=True)
         return LoraAdapter(a, b, rank, alpha, dropout_p)
 
     ffn = SharedFfn(lin(dff, d), lin(dff, d), lin(d, dff))
     triples = [ExpertTriple(adapter(d, dff), adapter(d, dff), adapter(dff, d))
                for _ in range(n_experts)]
-    router = Router(Tensor(rng.normal(0, 0.5, (n_experts, d)), requires_grad=True), top_k)
+    router = Router(Tensor(rng.normal(0, 0.5, (n_experts, d)).astype(dtype),
+                           requires_grad=True), top_k)
     return MixLoraBlock(router, ffn, ExpertAdapters(triples), aux_coef=aux_coef)
 
 
@@ -409,6 +413,143 @@ def test_dropout_masks_follow_the_documented_draw_order(rng):
         out, _ = mixlora_forward(block, Tensor(h), shared_base, training=True,
                                  rng=np.random.default_rng(7))
         assert np.abs(out.data - expect).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the mixture as one tape op vs the chain of 2-D ops it replaced
+# ---------------------------------------------------------------------------
+
+
+def concat_rows(parts):
+    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    tape = _tape_for(*parts)
+    if tape is not None:
+        out.requires_grad = True
+
+        def bwd(g):
+            off = 0
+            for p in parts:
+                _accum(p, g[off:off + p.shape[0]])
+                off += p.shape[0]
+
+        tape._record(out, bwd)
+    return out
+
+
+def scale_rows(x, s):
+    out = Tensor(x.data * s.data[:, None])
+    tape = _tape_for(x, s)
+    if tape is not None:
+        out.requires_grad = True
+
+        def bwd(g):
+            _accum(x, g * s.data[:, None])
+            _accum(s, (g * x.data).sum(axis=1))
+
+        tape._record(out, bwd)
+    return out
+
+
+def take_elems(a, rows, col):
+    out = Tensor(a.data[rows, col])
+    tape = _tape_for(a)
+    if tape is not None:
+        out.requires_grad = True
+
+        def bwd(g):
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            np.add.at(a.grad, (rows, col), g)
+
+        tape._record(out, bwd)
+    return out
+
+
+def chain_mixlora(block, h, shared_base, training, rng):
+    """The routed mixture built from generic 2-D tape ops, one small chain per
+    expert, in the dispatch and dropout draw order of ``mixlora_forward``."""
+    ffn = block.ffn
+    gates, _, stats = route(block.router, h, block.count_topk_dispatch)
+    sel = stats.topk_indices
+    n_tok, top_k = sel.shape
+    flat = sel.ravel()
+    order = np.argsort(flat, kind="stable")
+    tok = order // top_k
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=block.n_experts))))
+    if shared_base:
+        h1_all, h3_all = ffn.w1.apply(h), ffn.w3.apply(h)
+    mids, d2s = [], []
+    for e in range(block.n_experts):
+        rows = tok[bounds[e]:bounds[e + 1]]
+        if rows.size == 0:
+            continue
+        tri = block.experts[e]
+        xe = take_rows(h, rows)
+        if shared_base:
+            h1 = add(take_rows(h1_all, rows), lora_delta(tri.w1, xe, training, rng))
+            h3 = add(take_rows(h3_all, rows), lora_delta(tri.w3, xe, training, rng))
+        else:
+            h1 = adapted_forward(ffn.w1, tri.w1, xe, training, rng)
+            h3 = adapted_forward(ffn.w3, tri.w3, xe, training, rng)
+        mid = mul(silu(h1), h3)
+        d2s.append(lora_delta(tri.w2, mid, training, rng))
+        mids.append(mid)
+    y = add(ffn.w2.apply(concat_rows(mids)), concat_rows(d2s))
+    y = scale_rows(y, take_elems(gates, tok, flat[order]))
+    inv = np.argsort(order).reshape(n_tok, top_k)
+    out = take_rows(y, inv[:, 0])
+    for j in range(1, top_k):
+        out = add(out, take_rows(y, inv[:, j]))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+@pytest.mark.parametrize("shared_base", [False, True])
+def test_mixture_op_equals_the_op_chain_bit_for_bit(shared_base, dropout_p, dtype):
+    rng = np.random.default_rng(11)
+    block = make_block(rng, n_experts=5, top_k=3, dropout_p=dropout_p, dtype=dtype)
+    block.router.wr.data[4] = -20.0  # positive inputs never pick expert 4
+    h_data = rng.uniform(0.1, 1.0, (23, 6)).astype(dtype)
+    w = Tensor(rng.normal(size=(23, 6)).astype(dtype))
+    params = [block.router.wr] + expert_params(block)
+
+    def run(forward):
+        for p in params:
+            p.grad = None
+        h = Tensor(h_data.copy(), requires_grad=True)
+        tape = Tape()
+        with tape:
+            out = forward(h, np.random.default_rng(3))
+            loss = sum_all(mul(out, w))
+        backward(tape, loss)
+        grads = [None if p.grad is None else p.grad.copy() for p in params]
+        return out.data, grads, h.grad
+
+    out_op, grads_op, dh_op = run(
+        lambda h, drop: mixlora_forward(block, h, shared_base, True, drop)[0])
+    out_ch, grads_ch, dh_ch = run(
+        lambda h, drop: chain_mixlora(block, h, shared_base, True, drop))
+    assert out_op.dtype == dtype and np.array_equal(out_op, out_ch)
+    assert np.array_equal(dh_op, dh_ch)
+    assert all(g is None for g in grads_op[-6:])  # expert 4's three A/B pairs
+    for g_op, g_ch in zip(grads_op, grads_ch):
+        assert (g_op is None and g_ch is None) or np.array_equal(g_op, g_ch)
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "optimized"])
+def test_the_mixture_is_one_tape_node_at_any_expert_count(rng, mode):
+    for n in (1, 4, 8):
+        block = make_block(rng, n_experts=n, top_k=min(2, n))
+        h = Tensor(rng.normal(size=(10, 6)), requires_grad=True)
+        with Tape() as routed:
+            route(block.router, h)
+        with Tape() as tape:
+            out, _ = block.forward(h, mode)
+        assert len(tape.nodes) == len(routed.nodes) + 1
+        assert tape.nodes[-1][0] is out and out.requires_grad
+    out, _ = block.forward(h, mode)
+    assert numerics._TAPE_STACK == [] and not out.requires_grad
 
 
 # ---------------------------------------------------------------------------

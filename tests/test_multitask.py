@@ -179,6 +179,15 @@ def test_census_additivity_and_cross_check():
         assert two["per_set_optimizer_bytes"][i] == 2 * aset.data.nbytes
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_census_counts_data_grad_and_both_moments(dtype):
+    engine = MultiTaskEngine(CFG, seed=1, dtype=dtype)
+    aset = engine.add_set("a")
+    census = memory_census(engine)
+    assert census["per_set_bytes"] == [4 * aset.data.nbytes]
+    assert census["total"] == census["base_bytes"] + 4 * aset.data.nbytes
+
+
 def test_default_config_sharing_ratio_below_three_quarters():
     engine1 = MultiTaskEngine(DESK, seed=0)
     engine1.add_set("m0")

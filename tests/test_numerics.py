@@ -11,19 +11,16 @@ from mixlora.numerics import (
     add,
     backward,
     causal_attention,
-    concat_rows,
     cross_entropy,
     dropout,
     layer_norm,
     matmul,
     mul,
     scale,
-    scale_rows,
     silu,
     softmax_lastdim,
     sum_all,
     sum_axis0,
-    take_elems,
     take_rows,
     topk_gates,
     transpose,
@@ -211,7 +208,7 @@ def test_backward_requires_scalar_loss():
         backward(tape, y)
 
 
-def test_unreachable_leaf_gets_zero_gradient():
+def test_unreachable_leaf_keeps_no_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
     y = Tensor(np.ones(3), requires_grad=True)
     tape = Tape()
@@ -219,7 +216,8 @@ def test_unreachable_leaf_gets_zero_gradient():
         loss = sum_all(x)
         mul(y, y)  # recorded but not feeding the loss
     backward(tape, loss)
-    assert np.array_equal(y.grad, np.zeros(3))
+    assert np.array_equal(x.grad, np.ones(3))
+    assert y.grad is None
 
 
 def test_backward_never_mutates_forward_data(rng):
@@ -264,24 +262,9 @@ def test_take_rows_with_repeats_accumulates(rng):
     assert np.array_equal(x.grad, np.array([[0, 0], [2, 2], [0, 0], [1, 1]], dtype=float))
 
 
-def test_take_elems_and_scale_rows_grads(rng):
-    g = Tensor(rng.uniform(0.1, 1.0, (5, 4)), requires_grad=True)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    idx = np.array([0, 2, 4])
-    w = Tensor(rng.normal(size=(3, 4)))
-
-    def loss():
-        s = take_elems(g, idx, 1)
-        return sum_all(mul(scale_rows(x, s), w))
-
-    grad_check(loss, [g, x], tol=1e-5)
-
-
 def test_concat_take_cols_transpose_grads(rng):
     a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-    w2 = Tensor(rng.normal(size=(6, 2)))
-    grad_check(lambda: sum_all(mul(concat_rows([a, a]), w2)), [a], tol=1e-6)
     w4 = Tensor(rng.normal(size=(2, 3)))
     grad_check(lambda: sum_all(mul(transpose(a), w4)), [a], tol=1e-6)
     w5 = Tensor(rng.normal(size=3))
