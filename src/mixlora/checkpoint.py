@@ -1,41 +1,43 @@
-"""Binary checkpoints: magic "MXLR", version, config JSON, tensor records.
+"""Binary checkpoints: the config and one adapter set's flat parameter buffer.
 
-Layout (all integers little-endian):
-    magic     4 bytes  b"MXLR"
-    version   u32
-    cfg_len   u64, then cfg_len bytes of config JSON
-    records   repeated until EOF:
-        name_len u32, name bytes (utf-8)
-        dtype    u8 (0 = f32, 1 = f64)
-        ndim     u8
-        dims     u32 * ndim
-        payload  row-major little-endian floats
+Layout, version 2 (integers little-endian):
+    b"MXLR", u32 version 2, u64 cfg_len, then cfg_len bytes of config JSON
+    4 bytes   ``FrozenBase.checksum()`` of the saving model's frozen base
+    payload   ``AdapterSet.data``, little-endian, in the config's precision
+    u32       CRC32 of every byte before it
 
-Saving is order-stable, so load -> save -> load round-trips byte-for-byte.
-Reading bounds every length by the bytes left in the file and turns any
-unreadable, truncated or malformed file into ``CheckpointError``.
+The base is not stored: loading regenerates it from the config's seed. The
+config fixes the payload's dtype and length, so the file stores neither.
+Reading checks, in order, so bad input fails before any large read or
+allocation: magic and version; cfg_len against the file size, then the config;
+the file size against the size that config implies; the CRC; finite values.
+Only then does it build the model, refuse a base checksum mismatch and copy
+the payload into the adapter buffer. Every failure is a ``CheckpointError``.
+Saves are atomic (a temp file, then ``os.replace``), and load -> save
+round-trips byte for byte.
 """
 
 from __future__ import annotations
 
-import math
+import contextlib
 import os
 import struct
+import zlib
 from io import BufferedReader
 
 import numpy as np
 
-from .config import RunConfig
-from .errors import CheckpointError
-from .model import ToyModel, build_model
+from .config import RunConfig, trainable_parameter_count
+from .errors import CheckpointError, ConfigError
+from .model import AdapterSet, ToyModel
+from .model import build_model  # perfbench's tracer wraps checkpoint.build_model by name
 from .numerics import Tensor
 
 MAGIC = b"MXLR"
-VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+VERSION = 2
 
 
+# perfbench's round-trip check compares models through checkpoint.named_model_tensors.
 def named_model_tensors(model: ToyModel) -> list[tuple[str, Tensor]]:
     out = list(model.base.named_tensors())
     if model.adapters is not None:
@@ -44,44 +46,28 @@ def named_model_tensors(model: ToyModel) -> list[tuple[str, Tensor]]:
 
 
 def save_checkpoint(path: str, config: RunConfig, model: ToyModel) -> None:
-    cfg_bytes = config.to_json().encode("utf-8")
+    cfg = config.to_json().encode("utf-8")
+    head = MAGIC + struct.pack("<IQ", VERSION, len(cfg)) + cfg + model.base.checksum()
+    data = model.adapters.data
+    payload = data.astype(data.dtype.newbyteorder("<"), copy=False)
+    tmp = path + ".tmp"
     try:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<Q", len(cfg_bytes)))
-            f.write(cfg_bytes)
-            for name, tensor in named_model_tensors(model):
-                arr = np.ascontiguousarray(tensor.data)
-                code = _DTYPE_CODES.get(arr.dtype)
-                if code is None:
-                    raise CheckpointError(f"unsupported dtype {arr.dtype} for {name}")
-                name_b = name.encode("utf-8")
-                f.write(struct.pack("<I", len(name_b)))
-                f.write(name_b)
-                f.write(struct.pack("<BB", code, arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        with open(tmp, "wb") as f:
+            f.write(head)
+            f.write(payload)
+            f.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _read_exact(f: BufferedReader, n: int, size: int, what: str) -> bytes:
-    """n bytes from f, whose file holds size bytes; never reads past the end."""
-    if n > size - f.tell():
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return f.read(n)
+# perfbench's tracer wraps checkpoint.read_records by name.
+def read_records(path: str) -> tuple[RunConfig, bytes, np.ndarray]:
+    """Parse and check a checkpoint without building a model.
 
-
-def _text(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{what} is not utf-8: {exc}") from exc
-
-
-def read_records(path: str) -> tuple[RunConfig, dict[str, np.ndarray]]:
-    """Parse and validate a checkpoint without building a model."""
+    Returns the config, the stored base checksum and the adapter buffer."""
     try:
         with open(path, "rb") as f:
             return _parse(f, os.fstat(f.fileno()).st_size)
@@ -89,54 +75,53 @@ def read_records(path: str) -> tuple[RunConfig, dict[str, np.ndarray]]:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
 
-def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, dict[str, np.ndarray]]:
-    magic = f.read(4)
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<I", _read_exact(f, 4, size, "version"))
+def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, bytes, np.ndarray]:
+    head = f.read(16)
+    if head[:4] != MAGIC:
+        raise CheckpointError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+    if len(head) < 16:
+        raise CheckpointError("truncated checkpoint while reading its header")
+    version, cfg_len = struct.unpack("<IQ", head[4:])
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack("<Q", _read_exact(f, 8, size, "config length"))
-    config = RunConfig.from_json(_text(_read_exact(f, cfg_len, size, "config"), "config"))
-    tensors: dict[str, np.ndarray] = {}
-    while f.tell() < size:
-        (name_len,) = struct.unpack("<I", _read_exact(f, 4, size, "record header"))
-        name = _text(_read_exact(f, name_len, size, "tensor name"), "tensor name")
-        code, ndim = struct.unpack("<BB", _read_exact(f, 2, size, f"{name} header"))
-        if code not in _CODE_DTYPES:
-            raise CheckpointError(f"unknown dtype code {code} for {name}")
-        dims = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, size, f"{name} dims"))
-        dtype = _CODE_DTYPES[code]
-        payload = _read_exact(f, math.prod(dims) * dtype.itemsize, size, f"{name} payload")
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor record {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    return config, tensors
+    if cfg_len > size - 16:  # never read past the end, whatever cfg_len says
+        raise CheckpointError("truncated checkpoint while reading its config")
+    try:
+        config = RunConfig.from_json(f.read(cfg_len).decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"config is not utf-8: {exc}") from exc
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from exc
+    dtype = np.dtype(config.dtype).newbyteorder("<")
+    count = trainable_parameter_count(config)
+    body_at = f.tell() + 4  # after the base checksum
+    expected = body_at + count * dtype.itemsize + 4
+    if size != expected:
+        raise CheckpointError(f"checkpoint holds {size} bytes; its config implies {expected}")
+    f.seek(0)
+    data = f.read(size)
+    if zlib.crc32(memoryview(data)[:-4]) != struct.unpack("<I", data[-4:])[0]:
+        raise CheckpointError("checkpoint CRC mismatch: the file is corrupt")
+    buffer = np.frombuffer(data, dtype, count, offset=body_at)
+    if not np.isfinite(buffer).all():
+        aset = AdapterSet.create(config.model(), dtype=config.dtype)
+        aset.data[...] = buffer
+        name = next(name for name, t in aset.named_parameters()
+                    if not np.isfinite(t.data).all())
+        raise CheckpointError(f"{name}: non-finite values")
+    return config, data[body_at - 4:body_at], buffer
 
 
 def load_checkpoint(path: str) -> tuple[RunConfig, ToyModel]:
-    """Rebuild a model and restore every tensor bit-exactly; refuse NaN or inf."""
-    config, tensors = read_records(path)
+    """Rebuild the model from the config's seed, refuse a base other than the
+    saved one, and restore the adapter buffer bit-exactly."""
+    config, base_checksum, buffer = read_records(path)
     model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
-    named = dict(named_model_tensors(model))
-    missing = sorted(set(named) - set(tensors))
-    extra = sorted(set(tensors) - set(named))
-    if missing or extra:
+    regenerated = model.base.checksum()
+    if regenerated != base_checksum:
         raise CheckpointError(
-            f"tensor names do not match model (missing {missing[:3]}, extra {extra[:3]})"
+            f"frozen base checksum {regenerated.hex()} from seed {config.seed} "
+            f"does not match the saved {base_checksum.hex()}"
         )
-    for name, arr in tensors.items():
-        target = named[name]
-        if target.data.shape != arr.shape:
-            raise CheckpointError(
-                f"{name}: shape {arr.shape} does not match model {target.data.shape}"
-            )
-        if target.data.dtype != arr.dtype:
-            raise CheckpointError(
-                f"{name}: dtype {arr.dtype} does not match model {target.data.dtype}"
-            )
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"{name}: non-finite values")
-        # In-place copy keeps frozen-weight transposed views coherent.
-        target.data[...] = arr
+    model.adapters.data[...] = buffer
     return config, model

@@ -9,7 +9,7 @@ not an int, and floats must be finite. Round-tripping through
 ``to_dict``/``from_dict`` is lossless. A config whose frozen base plus one
 adapter set, or whose largest training-step array, would exceed
 ``MAX_ELEMENTS`` is rejected, so no dimension or batch size reaches an
-allocation, and every stored dimension fits a checkpoint's u32.
+allocation.
 """
 
 from __future__ import annotations

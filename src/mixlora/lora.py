@@ -24,8 +24,7 @@ class FrozenLinear:
     def __init__(self, w: np.ndarray | Tensor):
         self.w = w if isinstance(w, Tensor) else Tensor(w)
         self.w.requires_grad = False
-        # Transposed view shares storage with w, so checkpoint loads that
-        # copy into w.data are seen here too.
+        # A view sharing w's storage, so the base holds each weight once.
         self._wt = Tensor(self.w.data.T)
 
     @property

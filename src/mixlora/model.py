@@ -110,13 +110,11 @@ class FrozenBase:
         return sum(t.data.nbytes for _, t in self.named_tensors())
 
     def checksum(self) -> bytes:
-        import hashlib
-
-        h = hashlib.sha256()
+        """CRC32 over every tensor's name and bytes, as 4 little-endian bytes."""
+        crc = 0
         for name, t in self.named_tensors():
-            h.update(name.encode())
-            h.update(t.data.tobytes())
-        return h.digest()
+            crc = zlib.crc32(t.data, zlib.crc32(name.encode(), crc))
+        return crc.to_bytes(4, "little")
 
 
 class LayerAdapters:

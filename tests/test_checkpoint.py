@@ -1,13 +1,18 @@
 import dataclasses
+import errno
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixlora import checkpoint
 from mixlora.checkpoint import load_checkpoint, named_model_tensors, read_records, save_checkpoint
 from mixlora.cli import main
-from mixlora.config import RunConfig
-from mixlora.errors import CheckpointError
+from mixlora.config import RunConfig, trainable_parameter_count
+from mixlora.errors import CheckpointError, ConfigError
 from mixlora.model import build_model
 from mixlora.train import train
 
@@ -25,6 +30,18 @@ def tiny_checkpoint(path, config=TINY):
     return path.read_bytes()
 
 
+def resealed(data: bytes) -> bytes:
+    """data with its trailing CRC recomputed, so checks behind the CRC see an edit."""
+    return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
+
+
+def assert_same_model(model, expected):
+    restored = dict(named_model_tensors(model))
+    for name, t in named_model_tensors(expected):
+        assert restored[name].dtype == t.dtype
+        assert np.array_equal(restored[name].data, t.data), name
+
+
 @pytest.mark.parametrize("n_experts", [1, 2])
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_round_trip_is_bit_exact(tmp_path, n_experts, precision):
@@ -34,10 +51,7 @@ def test_round_trip_is_bit_exact(tmp_path, n_experts, precision):
     save_checkpoint(str(path), config, model)
     config2, model2 = load_checkpoint(str(path))
     assert config2 == config
-    restored = dict(named_model_tensors(model2))
-    for name, t in named_model_tensors(model):
-        assert restored[name].dtype == t.dtype
-        assert np.array_equal(restored[name].data, t.data), name
+    assert_same_model(model2, model)
     again = tmp_path / "again"
     save_checkpoint(str(again), config2, model2)
     assert again.read_bytes() == path.read_bytes()
@@ -62,14 +76,101 @@ def test_absurd_config_length_is_a_checkpoint_error(tmp_path, cfg_len):
         read_records(str(path))
 
 
-def test_absurd_dims_are_a_checkpoint_error(tmp_path):
+def test_size_matches_the_config(tmp_path):
     data = tiny_checkpoint(tmp_path / "full")
-    name = b"extra"
-    record = struct.pack("<I", len(name)) + name + struct.pack("<BB3I", 1, 3, *[2**32 - 1] * 3)
+    (cfg_len,) = struct.unpack_from("<Q", data, CFG_LEN_AT)
+    assert len(data) == 16 + cfg_len + 4 + 4 * trainable_parameter_count(TINY) + 4
+
+
+@pytest.fixture(scope="module")
+def fuzz_target(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    model = build_model(TINY.model(), seed=TINY.seed, dtype=TINY.dtype, lr=TINY.lr)
+    model.adapters.data[:] = np.linspace(-1.0, 1.0, model.adapters.data.size)
+    save_checkpoint(str(root / "good"), TINY, model)
+    return root, (root / "good").read_bytes(), model
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_flipped_bytes_fail_or_load_bit_identically(fuzz_target, flips):
+    root, good, model = fuzz_target
+    data = bytearray(good)
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    path = root / "flipped"
+    path.write_bytes(bytes(data))
+    try:
+        config, loaded = load_checkpoint(str(path))
+    except CheckpointError:
+        return
+    assert config == TINY
+    assert_same_model(loaded, model)
+
+
+def test_config_error_inside_a_checkpoint_is_a_checkpoint_error(tmp_path):
+    data = tiny_checkpoint(tmp_path / "full")
     path = tmp_path / "bad"
-    path.write_bytes(data + record)
-    with pytest.raises(CheckpointError, match="extra payload"):
+    path.write_bytes(resealed(data.replace(b'"top_k": 1', b'"top_k": 9', 1)))
+    with pytest.raises(CheckpointError, match="top_k") as info:
         read_records(str(path))
+    assert isinstance(info.value.__cause__, ConfigError)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.replace(b'"seed": 3', b'"seed": 4', 1), "frozen base checksum"),
+    (lambda d: d.replace(b'"n_experts": 2', b'"n_experts": 3', 1), "its config implies"),
+    (lambda d: d + bytes(4), "its config implies"),
+    (lambda d: d[:4] + struct.pack("<I", 1) + d[8:], "unsupported checkpoint version 1"),
+], ids=["seed", "n_experts", "trailing-bytes", "version-1"])
+def test_resealed_edits_exit_2(tmp_path, capsys, edit, message):
+    data = tiny_checkpoint(tmp_path / "full")
+    edited = resealed(edit(data))
+    assert edited != data
+    path = tmp_path / "bad"
+    path.write_bytes(edited)
+    for command in ("eval", "inspect-routing"):
+        assert main([command, "--ckpt", str(path), "--task", "copy"]) == 2
+        assert message in capsys.readouterr().err
+
+
+class _FullDisk:
+    """A file whose writes fail after one byte, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, b):
+        self.f.write(bytes(b[:1]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fail", ["write", "replace"])
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch, fail):
+    path = tmp_path / "ckpt"
+    old = tiny_checkpoint(path)
+    config = dataclasses.replace(TINY, seed=4)
+    model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
+    if fail == "write":
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda p, mode: _FullDisk(open(p, mode)), raising=False)
+    else:
+        monkeypatch.setattr(checkpoint.os, "replace", _fail_replace)
+    with pytest.raises(CheckpointError, match="cannot write"):
+        save_checkpoint(str(path), config, model)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
 
 
 def test_non_utf8_config_is_a_checkpoint_error(tmp_path):
@@ -98,4 +199,8 @@ def test_non_finite_records_exit_2(tmp_path, capsys, record, value):
     save_checkpoint(path, TINY, model)
     for command in ("eval", "inspect-routing"):
         assert main([command, "--ckpt", path, "--task", "copy"]) == 2
-        assert f"{record}: non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if record.startswith("base."):  # the base is not stored, only its checksum
+            assert "frozen base checksum" in err
+        else:
+            assert f"{record}: non-finite" in err
