@@ -140,8 +140,7 @@ def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32
     for triple in la.experts.triples:
         for ad in (triple.w1, triple.w3, triple.w2):
             ad.b.data[...] = rng.normal(0.0, 0.02, size=ad.b.shape).astype(dtype)
-    block = MixLoraBlock(la.router, ffn, la.experts,
-                         aux_coef=config.aux_coef, layer_index=0)
+    block = MixLoraBlock(la.router, ffn, la.experts, layer_index=0)
     return block, aset
 
 

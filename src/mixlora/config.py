@@ -171,6 +171,9 @@ class RunConfig(ModelConfig):
             raise ConfigError(
                 f"vocab_size {self.vocab_size} below task requirement {need}"
             )
+        seq_len = max(registry[n].seq_len for n in self.tasks)
+        if self.max_seq_len < seq_len:
+            raise ConfigError(f"max_seq_len {self.max_seq_len} below task seq_len {seq_len}")
         return self
 
     def model(self) -> ModelConfig:

@@ -1,11 +1,14 @@
-"""Low-rank adapter pairs and their application to frozen linear maps.
+"""Low-rank adapter pairs and the one LoRA kernel.
 
 A frozen projection keeps its weight ``W`` bit-identical through training;
 all learning lives in the adapter pair ``(A, B)`` whose delta
-``(alpha/rank) * B A x`` starts at exactly zero because ``B`` is
-zero-initialized. ``lora_delta`` applies the ``alpha/rank`` scaling to the
-rank-r intermediate ``A x``, where it touches rank rather than d_out values
-per row.
+``B ((alpha/rank) A drop(x))`` starts at exactly zero because ``B`` is
+zero-initialized. ``lora_forward``/``lora_backward`` are the one copy of that
+maths; the scaling touches the rank-r intermediate, rank rather than d_out
+values per row. ``lora_delta`` records them as one tape op (the attention
+adapters), and the expert mixture calls them inside its own op. Callers label
+the kernel's FLOPs: the mixture as ``source="lora"``; attention leaves them
+under ``"other"``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import Tensor, add, dropout, matmul, scale, transpose
+from .numerics import Tensor, _accum, _count_matmul, _tape_for, add, dropout_mask, matmul
 
 INIT_STD = 0.02  # standard deviation of every trainable weight drawn at init
 
@@ -90,18 +93,47 @@ class LoraAdapter:
         return self.alpha / self.rank
 
 
+def lora_forward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(u, B u) with the rank-r intermediate u = (alpha/r) A drop(x); mask is
+    the dropout multiplier array, or None for no dropout."""
+    _count_matmul(x.shape[0], ad.d_in, ad.rank)
+    u = ((x if mask is None else x * mask) @ ad.a.data.T) * ad.scaling
+    _count_matmul(x.shape[0], ad.rank, ad.d_out)
+    return u, u @ ad.b.data.T
+
+
+def lora_backward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None,
+                  u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Add the A and B gradients of B u for upstream g; return d/dx."""
+    _accum(ad.b, (u.T @ g).T)
+    gu = (g @ ad.b.data) * ad.scaling
+    _accum(ad.a, ((x if mask is None else x * mask).T @ gu).T)
+    dx = gu @ ad.a.data
+    return dx if mask is None else dx * mask
+
+
 def lora_delta(
     adapter: LoraAdapter,
     x: Tensor,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """B ((alpha/rank) * A drop(x)); dropout hits the adapter input only."""
+    """B ((alpha/rank) A drop(x)) as one tape op; dropout hits the adapter input only."""
     if x.ndim != 2 or x.shape[1] != adapter.d_in:
         raise DimensionError(f"lora_delta: input {x.shape} vs d_in {adapter.d_in}")
-    h = dropout(x, adapter.dropout_p, rng, training)
-    u = scale(matmul(h, transpose(adapter.a)), adapter.scaling)
-    return matmul(u, transpose(adapter.b))
+    mask = dropout_mask(x.shape, x.dtype, adapter.dropout_p, rng, training)
+    u, delta = lora_forward(adapter, x.data, mask)
+    out = Tensor(delta)
+    tape = _tape_for(x, adapter.a, adapter.b)
+    if tape is not None:
+        out.requires_grad = True
+
+        def bwd(g, x=x, mask=mask, u=u):
+            _accum(x, lora_backward(adapter, x.data, mask, u, g))
+
+        tape._record(out, bwd)
+    return out
 
 
 def adapted_forward(

@@ -288,7 +288,6 @@ class ToyModel:
                         la.router,
                         base.layers[i].ffn,
                         la.experts,
-                        aux_coef=adapters.aux_coef,
                         count_topk_dispatch=config.router_count_topk,
                         layer_index=i,
                     )

@@ -16,7 +16,10 @@ per-expert segments of sorted rows, each in ascending token order, bounded
 by a bincount. A segment adds its LoRA deltas ``B ((alpha/r) A drop(x))`` to
 its base rows to form the pre-activations h1 and h3. silu(h1) * h3 of all
 segments passes through the frozen W2 in one GEMM; each row plus its W2 LoRA
-delta is scaled by its gate, and output row t sums its k rows.
+delta is scaled by its gate, and output row t sums its k rows. Each delta,
+forward and backward, is the one LoRA kernel ``lora.lora_forward`` /
+``lora.lora_backward``; the block labels its FLOPs ``source="lora"`` per
+projection.
 
 Backward keeps, per sorted row, h1 and h3, the three rank-r intermediates
 ``(alpha/r) A drop(x)``, the dropout masks, the ungated expert output (the
@@ -45,12 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .lora import INIT_STD, FrozenLinear, LoraAdapter
+from .lora import INIT_STD, FrozenLinear, LoraAdapter, lora_backward, lora_forward
 from .lora import lora_delta  # noqa: F401  (perfbench's tracer wraps moe.lora_delta by name)
 from .numerics import (
     Tensor,
     _accum,
-    _count_matmul,
     _sigmoid,
     _tape_for,
     dropout_mask,
@@ -226,7 +228,6 @@ class MixLoraBlock:
         router: Router,
         ffn: SharedFfn,
         experts: ExpertAdapters,
-        aux_coef: float = 1e-2,
         count_topk_dispatch: bool = False,
         layer_index: int = 0,
     ):
@@ -238,7 +239,6 @@ class MixLoraBlock:
         self.ffn = ffn
         self.experts = experts
         self.n_experts = len(experts)
-        self.aux_coef = float(aux_coef)
         self.count_topk_dispatch = count_topk_dispatch
         self.layer_index = layer_index
 
@@ -247,26 +247,6 @@ class MixLoraBlock:
         if mode not in MODES:
             raise ContractError(f"unknown forward mode {mode!r}")
         return mixlora_forward(self, h, mode == "optimized", training, rng)
-
-
-def _lora_forward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None,
-                  proj: str) -> tuple[np.ndarray, np.ndarray]:
-    """(u, B u) with the rank-r intermediate u = (alpha/r) A drop(x)."""
-    with flop_labels(projection=proj, source="lora"):
-        _count_matmul(x.shape[0], ad.d_in, ad.rank)
-        u = ((x if mask is None else x * mask) @ ad.a.data.T) * ad.scaling
-        _count_matmul(x.shape[0], ad.rank, ad.d_out)
-        return u, u @ ad.b.data.T
-
-
-def _lora_backward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None,
-                   u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Add the A and B gradients of B u for upstream g; return d/dx."""
-    _accum(ad.b, (u.T @ g).T)
-    gu = (g @ ad.b.data) * ad.scaling
-    _accum(ad.a, ((x if mask is None else x * mask).T @ gu).T)
-    dx = gu @ ad.a.data
-    return dx if mask is None else dx * mask
 
 
 def _base(frozen: FrozenLinear, x: np.ndarray, proj: str) -> np.ndarray:
@@ -302,8 +282,10 @@ def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
             m1, m3, m2 = (dropout_mask(shape, x.dtype, ad.dropout_p, rng, training)
                           for ad, shape in ((tri.w1, xe.shape), (tri.w3, xe.shape),
                                             (tri.w2, (b - a, dff))))
-            u1, delta1 = _lora_forward(tri.w1, xe, m1, "w1")
-            u3, delta3 = _lora_forward(tri.w3, xe, m3, "w3")
+            with flop_labels(projection="w1", source="lora"):
+                u1, delta1 = lora_forward(tri.w1, xe, m1)
+            with flop_labels(projection="w3", source="lora"):
+                u3, delta3 = lora_forward(tri.w3, xe, m3)
             if shared_base:
                 h1, h3 = h1_all[rows], h3_all[rows]
             else:
@@ -311,7 +293,8 @@ def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
             h1 += delta1
             h3 += delta3
             mids.append((h1 * _sigmoid(h1)) * h3)
-            u2, d2 = _lora_forward(tri.w2, mids[-1], m2, "w2")
+            with flop_labels(projection="w2", source="lora"):
+                u2, d2 = lora_forward(tri.w2, mids[-1], m2)
             d2s.append(d2)
             if tape is not None:
                 saved.append((e, a, b, (m1, m3, m2), h1, h3, u1, u3, u2))
@@ -341,12 +324,12 @@ def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
             tri, rows = triples[e], tok[a:b]
             s = _sigmoid(h1)
             act = h1 * s
-            dm = dmid[a:b] + _lora_backward(tri.w2, act * h3, m2, u2, gy[a:b])
+            dm = dmid[a:b] + lora_backward(tri.w2, act * h3, m2, u2, gy[a:b])
             dh3 = dm * act
             dh1 = (dm * h3) * (s * (1.0 + h1 * (1.0 - s)))
             xe = x[rows]
-            dx3 = _lora_backward(tri.w3, xe, m3, u3, dh3)
-            dx1 = _lora_backward(tri.w1, xe, m1, u1, dh1)
+            dx3 = lora_backward(tri.w3, xe, m3, u3, dh3)
+            dx1 = lora_backward(tri.w1, xe, m1, u1, dh1)
             if shared_base:
                 dx = dx3 + dx1
                 dh3_all[rows] += dh3

@@ -9,6 +9,10 @@ Broadcasting is deliberately narrow: elementwise ops take operands of
 exactly the same shape, and anything else is a ``DimensionError``. No tensor
 has more than two dimensions: ``causal_attention`` alone reshapes to four,
 ``[sequences, heads, T, d_head]``, and only inside itself.
+
+Kernels with a hand-written backward elsewhere (``lora.py``, ``moe.py``) use
+``_tape_for``, ``_accum``, ``dropout_mask`` and ``_count_matmul``; the FLOPs
+they count carry whatever labels their caller set with ``flop_labels``.
 """
 
 from __future__ import annotations
@@ -214,20 +218,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    out = Tensor(a.data * c)
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
-
-        def bwd(g, a=a, c=c):
-            _accum(a, g * c)
-
-        tape._record(out, bwd)
-    return out
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+e) for x >= 0 and e/(1+e) for x < 0, with e = exp(-|x|) <= 1 so
     # nothing overflows. The numerator max(e, x >= 0) picks 1 or e without
@@ -387,8 +377,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_seqs: int,
     q, k, v and the output are [n_seqs * T, d]: n_seqs sequences of T rows,
     heads side by side in the columns; row t attends to rows 0..t of its own
     sequence. Each product, forward and backward, is the one the 2-D chain
-    matmul/scale/add/softmax_lastdim computes per (sequence, head), so the
-    results equal that chain's bit for bit.
+    matmul, times 1/sqrt(d_head), add and softmax_lastdim computes per
+    (sequence, head), so the results equal that chain's bit for bit.
     """
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(f"causal_attention: shapes {q.shape}/{k.shape}/{v.shape}")
@@ -507,9 +497,3 @@ def dropout_mask(shape, dtype, p: float, rng: np.random.Generator | None,
     if rng is None:
         raise ContractError("dropout: rng required when training with p > 0")
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout on x when training; identity otherwise."""
-    mask = dropout_mask(x.shape, x.dtype, p, rng, training)
-    return x if mask is None else mul(x, Tensor(mask))

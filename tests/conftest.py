@@ -1,9 +1,10 @@
-"""Shared test helpers: finite-difference oracle and error metrics."""
+"""Shared test helpers: finite-difference oracle, error metrics and the LoRA
+delta as a chain of generic tape ops."""
 
 import numpy as np
 import pytest
 
-from mixlora.numerics import Tensor
+from mixlora.numerics import Tensor, dropout_mask, matmul, mul, transpose
 
 
 def fd_grad(f, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -32,6 +33,17 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray,
     n = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float((np.abs(a - n) / denom).max())
+
+
+def chain_lora_delta(adapter, x: Tensor, training=False, rng=None) -> Tensor:
+    """B ((alpha/rank) A drop(x)) as the chain of 2-D tape ops that
+    ``lora_delta`` replaced: dropout mul, transpose, matmul, scale (a mul by a
+    constant tensor, the same per-element products), transpose, matmul."""
+    mask = dropout_mask(x.shape, x.dtype, adapter.dropout_p, rng, training)
+    h = x if mask is None else mul(x, Tensor(mask))
+    u = matmul(h, transpose(adapter.a))
+    u = mul(u, Tensor(np.full(u.shape, adapter.scaling, dtype=u.dtype)))
+    return matmul(u, transpose(adapter.b))
 
 
 def assert_flat_views(aset) -> None:

@@ -118,6 +118,18 @@ def test_config_error_inside_a_checkpoint_is_a_checkpoint_error(tmp_path):
     assert isinstance(info.value.__cause__, ConfigError)
 
 
+def test_max_seq_len_below_the_tasks_in_a_checkpoint_exits_2(tmp_path, capsys):
+    data = tiny_checkpoint(tmp_path / "full")
+    (cfg_len,) = struct.unpack_from("<Q", data, CFG_LEN_AT)
+    cfg = data[16:16 + cfg_len].replace(b'"max_seq_len": 16', b'"max_seq_len": 4', 1)
+    path = tmp_path / "bad"
+    path.write_bytes(resealed(data[:CFG_LEN_AT] + struct.pack("<Q", len(cfg)) + cfg
+                              + data[16 + cfg_len:]))
+    for command in ("eval", "inspect-routing"):
+        assert main([command, "--ckpt", str(path), "--task", "copy"]) == 2
+        assert "max_seq_len 4 below task seq_len 14" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d.replace(b'"seed": 3', b'"seed": 4', 1), "frozen base checksum"),
     (lambda d: d.replace(b'"n_experts": 2', b'"n_experts": 3', 1), "its config implies"),

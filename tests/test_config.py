@@ -148,3 +148,14 @@ def test_batch_size_limit_is_the_largest_step_array(dims):
 def test_numbers_in_float_fields_may_be_integers():
     config = RunConfig.from_json('{"lr": 0, "lora_alpha": 32}')
     assert config.lr == 0 and config.lora_alpha == 32
+
+
+def test_max_seq_len_below_the_tasks_is_a_config_error(tmp_path, capsys):
+    text = '{"max_seq_len": 4, "steps": 1}'
+    with pytest.raises(ConfigError, match="max_seq_len 4 below task seq_len 14"):
+        RunConfig.from_json(text)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
+    assert "max_seq_len" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -3,7 +3,8 @@ import pytest
 
 from mixlora.errors import DimensionError
 from mixlora.lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta
-from mixlora.numerics import Tensor
+from mixlora.numerics import Tape, Tensor, add, backward, mul, sum_all
+from conftest import chain_lora_delta, fd_grad, max_rel_err
 
 
 def merged_weight(base, adapter):
@@ -11,10 +12,11 @@ def merged_weight(base, adapter):
     return base.w.data + adapter.scaling * (adapter.b.data @ adapter.a.data)
 
 
-def make_adapter(rng, d_in=6, d_out=5, rank=2, alpha=4.0, zero_b=False, dropout_p=0.0):
-    a = Tensor(rng.normal(0, 0.5, (rank, d_in)), requires_grad=True)
+def make_adapter(rng, d_in=6, d_out=5, rank=2, alpha=4.0, zero_b=False, dropout_p=0.0,
+                 dtype=np.float64):
+    a = Tensor(rng.normal(0, 0.5, (rank, d_in)).astype(dtype), requires_grad=True)
     b_data = np.zeros((d_out, rank)) if zero_b else rng.normal(0, 0.5, (d_out, rank))
-    b = Tensor(b_data, requires_grad=True)
+    b = Tensor(b_data.astype(dtype), requires_grad=True)
     return LoraAdapter(a, b, rank, alpha, dropout_p)
 
 
@@ -103,3 +105,61 @@ def test_dropout_applies_only_in_training(rng):
     assert np.array_equal(eval_out, eval_out2)
     train_out = lora_delta(ad, x, training=True, rng=np.random.default_rng(0)).data
     assert not np.array_equal(train_out, eval_out)
+
+
+# ---------------------------------------------------------------------------
+# lora_delta as one tape op
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+def test_delta_gradients_vs_finite_differences(rng, dropout_p):
+    ad = make_adapter(rng, dropout_p=dropout_p)
+    x = Tensor(rng.uniform(-1, 1, (7, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(7, 5)))
+
+    def build():  # the rng is re-seeded, so every evaluation draws the same masks
+        return sum_all(mul(lora_delta(ad, x, True, np.random.default_rng(5)), w))
+
+    tape = Tape()
+    with tape:
+        loss = build()
+    backward(tape, loss)
+    for t in (x, ad.a, ad.b):
+        assert max_rel_err(t.grad, fd_grad(lambda: build().item(), t)) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+def test_delta_op_equals_the_op_chain_bit_for_bit(dropout_p, dtype):
+    rng = np.random.default_rng(21)
+    ad = make_adapter(rng, d_in=6, d_out=6, rank=3, alpha=5.0, dropout_p=dropout_p,
+                      dtype=dtype)
+    base = FrozenLinear(rng.normal(size=(6, 6)).astype(dtype))
+    x_data = rng.normal(size=(9, 6)).astype(dtype)
+    w = Tensor(rng.normal(size=(9, 6)).astype(dtype))
+
+    def run(delta):
+        ad.a.grad = ad.b.grad = None
+        x = Tensor(x_data.copy(), requires_grad=True)
+        tape = Tape()
+        with tape:  # x feeds the base first, so its gradient sums two terms
+            out = add(base.apply(x), delta(ad, x, True, np.random.default_rng(3)))
+            loss = sum_all(mul(out, w))
+        backward(tape, loss)
+        return out.data, x.grad, ad.a.grad.copy(), ad.b.grad.copy()
+
+    got, expect = run(lora_delta), run(chain_lora_delta)
+    assert got[0].dtype == dtype
+    for g, e in zip(got, expect):
+        assert np.array_equal(g, e)
+
+
+def test_adapted_forward_records_three_nodes_or_two(rng):
+    base = FrozenLinear(rng.normal(size=(5, 6)))
+    ad = make_adapter(rng, dropout_p=0.3)
+    for requires_grad, nodes in ((True, 3), (False, 2)):
+        x = Tensor(rng.normal(size=(4, 6)), requires_grad=requires_grad)
+        with Tape() as tape:
+            out = adapted_forward(base, ad, x, True, np.random.default_rng(0))
+        assert len(tape.nodes) == nodes and tape.nodes[-1][0] is out

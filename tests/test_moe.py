@@ -3,7 +3,7 @@ import pytest
 
 from mixlora import numerics
 from mixlora.errors import ContractError
-from mixlora.lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta
+from mixlora.lora import FrozenLinear, LoraAdapter
 from mixlora.moe import (
     ExpertAdapters,
     ExpertTriple,
@@ -21,11 +21,11 @@ from mixlora.moe import (
 from mixlora.numerics import (
     Tape, Tensor, _accum, _tape_for, add, backward, mul, silu, sum_all, take_rows,
 )
-from conftest import fd_grad, max_rel_err
+from conftest import chain_lora_delta, fd_grad, max_rel_err
 
 
 def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
-               zero_adapters=False, aux_coef=0.01, dropout_p=0.0, dtype=np.float64):
+               zero_adapters=False, dropout_p=0.0, dtype=np.float64):
     def lin(rows, cols):
         return FrozenLinear(rng.normal(0, 0.5, (rows, cols)).astype(dtype))
 
@@ -40,7 +40,7 @@ def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
                for _ in range(n_experts)]
     router = Router(Tensor(rng.normal(0, 0.5, (n_experts, d)).astype(dtype),
                            requires_grad=True), top_k)
-    return MixLoraBlock(router, ffn, ExpertAdapters(triples), aux_coef=aux_coef)
+    return MixLoraBlock(router, ffn, ExpertAdapters(triples))
 
 
 def expert_params(block):
@@ -258,12 +258,16 @@ def test_optimized_matches_vanilla(rng):
         assert np.array_equal(st_v.dispatch_counts, st_o.dispatch_counts)
 
 
+def chain_adapted(frozen, adapter, x, training, rng):
+    return add(frozen.apply(x), chain_lora_delta(adapter, x, training, rng))
+
+
 def dense_lora_ffn(block, h, training, rng):
     """The plain LoRA baseline: one adapter triple on the frozen FFN, no router."""
     ffn, triple = block.ffn, block.experts[0]
-    h1 = adapted_forward(ffn.w1, triple.w1, h, training, rng)
-    h3 = adapted_forward(ffn.w3, triple.w3, h, training, rng)
-    return adapted_forward(ffn.w2, triple.w2, mul(silu(h1), h3), training, rng)
+    h1 = chain_adapted(ffn.w1, triple.w1, h, training, rng)
+    h3 = chain_adapted(ffn.w3, triple.w3, h, training, rng)
+    return chain_adapted(ffn.w2, triple.w2, mul(silu(h1), h3), training, rng)
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
@@ -288,7 +292,7 @@ def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
 
     def mixture(h, drop_rng):
         out, stats = mixlora_forward(block, h, shared_base, training=True, rng=drop_rng)
-        return out, aux_loss(stats, 1, block.aux_coef)
+        return out, aux_loss(stats, 1, 0.01)
 
     out_m, grads_m, dh_m = run(mixture)
     router_grad = block.router.wr.grad
@@ -486,13 +490,13 @@ def chain_mixlora(block, h, shared_base, training, rng):
         tri = block.experts[e]
         xe = take_rows(h, rows)
         if shared_base:
-            h1 = add(take_rows(h1_all, rows), lora_delta(tri.w1, xe, training, rng))
-            h3 = add(take_rows(h3_all, rows), lora_delta(tri.w3, xe, training, rng))
+            h1 = add(take_rows(h1_all, rows), chain_lora_delta(tri.w1, xe, training, rng))
+            h3 = add(take_rows(h3_all, rows), chain_lora_delta(tri.w3, xe, training, rng))
         else:
-            h1 = adapted_forward(ffn.w1, tri.w1, xe, training, rng)
-            h3 = adapted_forward(ffn.w3, tri.w3, xe, training, rng)
+            h1 = chain_adapted(ffn.w1, tri.w1, xe, training, rng)
+            h3 = chain_adapted(ffn.w3, tri.w3, xe, training, rng)
         mid = mul(silu(h1), h3)
-        d2s.append(lora_delta(tri.w2, mid, training, rng))
+        d2s.append(chain_lora_delta(tri.w2, mid, training, rng))
         mids.append(mid)
     y = add(ffn.w2.apply(concat_rows(mids)), concat_rows(d2s))
     y = scale_rows(y, take_elems(gates, tok, flat[order]))
@@ -508,7 +512,10 @@ def chain_mixlora(block, h, shared_base, training, rng):
 @pytest.mark.parametrize("shared_base", [False, True])
 def test_mixture_op_equals_the_op_chain_bit_for_bit(shared_base, dropout_p, dtype):
     rng = np.random.default_rng(11)
-    block = make_block(rng, n_experts=5, top_k=3, dropout_p=dropout_p, dtype=dtype)
+    # alpha/rank = 5/3 is inexact, so scaling another product than the chain
+    # does changes the bits.
+    block = make_block(rng, n_experts=5, top_k=3, rank=3, alpha=5.0, dropout_p=dropout_p,
+                       dtype=dtype)
     block.router.wr.data[4] = -20.0  # positive inputs never pick expert 4
     h_data = rng.uniform(0.1, 1.0, (23, 6)).astype(dtype)
     w = Tensor(rng.normal(size=(23, 6)).astype(dtype))

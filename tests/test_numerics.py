@@ -12,11 +12,10 @@ from mixlora.numerics import (
     backward,
     causal_attention,
     cross_entropy,
-    dropout,
+    dropout_mask,
     layer_norm,
     matmul,
     mul,
-    scale,
     silu,
     softmax_lastdim,
     sum_all,
@@ -131,7 +130,6 @@ def test_elementwise_grads(rng):
     w = Tensor(rng.uniform(-1, 1, (5, 3)))
     grad_check(lambda: sum_all(mul(silu(x), w)), [x], tol=1e-5)
     grad_check(lambda: sum_all(mul(softmax_lastdim(x), w)), [x], tol=1e-5)
-    grad_check(lambda: sum_all(mul(scale(x, 2.5), w)), [x], tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +304,8 @@ def test_causal_attention_equals_per_head_loop_bitwise(rng, dtype):
             qh, kh, vh = (Tensor(x[blk].copy(), requires_grad=True) for x in data[:3])
             tape = Tape()
             with tape:
-                scores = add(scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh)), mask)
+                inv_sqrt = Tensor(np.full((t, t), 1.0 / math.sqrt(dh), dtype=dtype))
+                scores = add(mul(matmul(qh, transpose(kh)), inv_sqrt), mask)
                 oh = matmul(softmax_lastdim(scores), vh)
                 loss = sum_all(mul(oh, Tensor(data[3][blk].copy())))
             backward(tape, loss)
@@ -384,14 +383,25 @@ def test_cross_entropy_label_bounds():
 
 
 def test_dropout_identity_when_eval_or_zero(rng):
-    x = Tensor(rng.normal(size=(3, 3)))
-    assert dropout(x, 0.5, rng, training=False) is x
-    assert dropout(x, 0.0, rng, training=True) is x
+    # No mask and no draw: the rng state is left as it was.
+    state = rng.bit_generator.state
+    assert dropout_mask((3, 3), np.float64, 0.5, rng, training=False) is None
+    assert dropout_mask((3, 3), np.float64, 0.0, rng, training=True) is None
+    assert dropout_mask((3, 3), np.float64, 0.0, None, training=True) is None
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_scales_kept_entries():
-    x = Tensor(np.ones((200, 10)))
-    out = dropout(x, 0.25, np.random.default_rng(0), training=True)
-    kept = out.data[out.data != 0]
-    assert np.allclose(kept, 1.0 / 0.75)
-    assert abs((out.data == 0).mean() - 0.25) < 0.03
+    for dtype in (np.float32, np.float64):
+        mask = dropout_mask((200, 10), dtype, 0.25, np.random.default_rng(0), training=True)
+        assert mask.dtype == dtype
+        assert set(np.unique(mask).tolist()) == {0.0, float(dtype(1.0) / dtype(0.75))}
+        assert abs((mask == 0).mean() - 0.25) < 0.03
+
+
+@pytest.mark.parametrize("p, rng", [(1.0, np.random.default_rng(0)),
+                                    (1.5, np.random.default_rng(0)),
+                                    (0.5, None)])
+def test_dropout_mask_contract_errors(p, rng):
+    with pytest.raises(ContractError):
+        dropout_mask((2, 2), np.float64, p, rng, training=True)
