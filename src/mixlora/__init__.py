@@ -30,7 +30,6 @@ from .model import (
     trainable_parameter_count,
 )
 from .moe import (
-    ExpertAdapters,
     ExpertTriple,
     MixLoraBlock,
     Router,

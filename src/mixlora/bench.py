@@ -137,7 +137,7 @@ def make_block(config: ModelConfig, seed: int = 0, dtype=np.float32
     ffn = SharedFfn(lin(dff, d), lin(dff, d), lin(d, dff))
     aset = AdapterSet.create(config, "bench", seed, dtype=dtype)
     la = aset.layers[0]
-    for triple in la.experts.triples:
+    for triple in la.experts:
         for ad in (triple.w1, triple.w3, triple.w2):
             ad.b.data[...] = rng.normal(0.0, 0.02, size=ad.b.shape).astype(dtype)
     block = MixLoraBlock(la.router, ffn, la.experts, layer_index=0)

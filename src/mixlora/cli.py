@@ -2,6 +2,12 @@
 
 Subcommands: train, eval, bench, sweep, inspect-routing.
 Exit codes: 0 ok, 2 usage/config/checkpoint problems, 3 numeric failure.
+
+``eval`` prints one JSON object {task, accuracy, expert_load_std, records}
+and ``inspect-routing`` prints its ``records``: one record per (layer, expert),
+{task, layer, expert_id, F, P, std}, where F is the share of held-out tokens
+whose argmax expert it is, P its mean router probability and std the
+layer's spread of F.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from .bench import run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .moe import MODES, RoutingStats, expert_load_report, expert_load_std
-from .tasks import default_tasks, evaluate, required_vocab
+from .moe import MODES
+from .tasks import default_tasks, required_vocab
 from .train import evaluate_tasks, train
 
 SWEEP_AXES = {
@@ -58,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="parallel workers; results match the sequential run")
     s.add_argument("--out", help="optional JSONL output path")
 
-    r = sub.add_parser("inspect-routing", help="per-task expert load records")
+    r = sub.add_parser("inspect-routing", help="per-layer expert load records")
     r.add_argument("--ckpt", required=True)
     r.add_argument("--task", required=True)
     return p
@@ -92,31 +98,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _task_stats(model, config: RunConfig, task_name: str):
+def _task_report(args) -> dict:
+    """``evaluate_tasks``'s entry for ``--task`` on the ``--ckpt`` model."""
+    config, model = load_checkpoint(args.ckpt)
     registry = default_tasks()
-    if task_name not in registry:
-        raise ConfigError(f"unknown task {task_name!r}; known: {sorted(registry)}")
-    task = registry[task_name]
-    if config.vocab_size < required_vocab([task]):
+    if args.task not in registry:
+        raise ConfigError(f"unknown task {args.task!r}; known: {sorted(registry)}")
+    if config.vocab_size < required_vocab([registry[args.task]]):
         raise ConfigError(
             f"checkpoint vocab_size {config.vocab_size} cannot encode task "
-            f"{task_name!r}"
+            f"{args.task!r}"
         )
-    data = task.generate(config.seed)
-    acc, stats = evaluate(model, task, data.test, config.mode)
-    return task, acc, stats
+    return evaluate_tasks(model, config, [args.task])[args.task]
 
 
 def cmd_eval(args) -> int:
-    config, model = load_checkpoint(args.ckpt)
-    task, acc, stats = _task_stats(model, config, args.task)
-    out = {
-        "task": task.name,
-        "accuracy": acc,
-        "expert_load_std": [expert_load_std(st) for st in stats],
-        "records": expert_load_report({task.name: RoutingStats.merge(stats)}),
-    }
-    print(json.dumps(out))
+    print(json.dumps({"task": args.task, **_task_report(args)}))
     return 0
 
 
@@ -173,10 +170,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_inspect_routing(args) -> int:
-    config, model = load_checkpoint(args.ckpt)
-    task, acc, stats = _task_stats(model, config, args.task)
-    records = expert_load_report({task.name: RoutingStats.merge(stats)})
-    print(json.dumps(records))
+    print(json.dumps(_task_report(args)["records"]))
     return 0
 
 

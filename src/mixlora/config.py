@@ -36,7 +36,6 @@ def _finite_number(value) -> bool:
 
 # declared field type -> (check, description); bool is an int subclass in Python
 _TYPES = {
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (lambda v: not isinstance(v, bool) and _finite_number(v), "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
@@ -59,8 +58,6 @@ class ModelConfig:
     dropout_p: float = 0.05
     aux_coef: float = 1e-2
     max_seq_len: int = 64
-    dropout_scope: str = "both"  # both | attention | experts
-    router_count_topk: bool = False
 
     def validate(self) -> "ModelConfig":
         for f in fields(self):
@@ -92,8 +89,6 @@ class ModelConfig:
             raise ConfigError(f"dropout_p {self.dropout_p} outside [0, 1)")
         if self.aux_coef < 0:
             raise ConfigError(f"aux_coef must be >= 0, got {self.aux_coef}")
-        if self.dropout_scope not in ("both", "attention", "experts"):
-            raise ConfigError(f"unknown dropout_scope {self.dropout_scope!r}")
         size = frozen_parameter_count(self) + trainable_parameter_count(self)
         if size > MAX_ELEMENTS:
             raise ConfigError(

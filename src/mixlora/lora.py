@@ -104,11 +104,14 @@ def lora_forward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None
 
 
 def lora_backward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None,
-                  u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Add the A and B gradients of B u for upstream g; return d/dx."""
+                  u: np.ndarray, g: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+    """Add the A and B gradients of B u for upstream g; return d/dx, or None
+    without ``need_dx``."""
     _accum(ad.b, (u.T @ g).T)
     gu = (g @ ad.b.data) * ad.scaling
     _accum(ad.a, ((x if mask is None else x * mask).T @ gu).T)
+    if not need_dx:
+        return None
     dx = gu @ ad.a.data
     return dx if mask is None else dx * mask
 
@@ -129,8 +132,8 @@ def lora_delta(
     if tape is not None:
         out.requires_grad = True
 
-        def bwd(g, x=x, mask=mask, u=u):
-            _accum(x, lora_backward(adapter, x.data, mask, u, g))
+        def bwd(g, x=x, mask=mask, u=u):  # d/dx is None, and skipped, for a frozen x
+            _accum(x, lora_backward(adapter, x.data, mask, u, g, x.requires_grad))
 
         tape._record(out, bwd)
     return out

@@ -23,7 +23,6 @@ from .config import ModelConfig, trainable_parameter_count
 from .errors import DimensionError, NumericError
 from .lora import FrozenLinear, LoraAdapter, adapted_forward
 from .moe import (
-    ExpertAdapters,
     ExpertTriple,
     MixLoraBlock,
     Router,
@@ -120,7 +119,7 @@ class FrozenBase:
 class LayerAdapters:
     """Trainable pieces of one layer: attention adapters, experts, router."""
 
-    def __init__(self, attn: dict[str, LoraAdapter], experts: ExpertAdapters,
+    def __init__(self, attn: dict[str, LoraAdapter], experts: list[ExpertTriple],
                  router: Router):
         self.attn = attn
         self.experts = experts
@@ -172,26 +171,18 @@ class AdapterSet:
         rng = np.random.default_rng([int(seed), 1, salt])
         drop_rng = np.random.default_rng([int(seed), 2, salt])
         d, dff = config.d_model, config.d_ff
-        p_attn = config.dropout_p if config.dropout_scope in ("both", "attention") else 0.0
-        p_exp = config.dropout_p if config.dropout_scope in ("both", "experts") else 0.0
 
-        def adapter(d_in, d_out, p):
+        def adapter(d_in, d_out):
             return LoraAdapter.create(d_in, d_out, config.lora_rank, config.lora_alpha,
-                                      p, rng, dtype)
+                                      config.dropout_p, rng, dtype)
 
         layers = []
         for _ in range(config.n_layers):
-            attn = {name: adapter(d, d, p_attn) for name in ("q", "k", "v", "o")}
-            triples = [
-                ExpertTriple(
-                    w1=adapter(d, dff, p_exp),
-                    w3=adapter(d, dff, p_exp),
-                    w2=adapter(dff, d, p_exp),
-                )
-                for _ in range(config.n_experts)
-            ]
+            attn = {name: adapter(d, d) for name in ("q", "k", "v", "o")}
+            triples = [ExpertTriple(w1=adapter(d, dff), w3=adapter(d, dff), w2=adapter(dff, d))
+                       for _ in range(config.n_experts)]
             router = Router.create(config.n_experts, d, config.top_k, rng, dtype)
-            layers.append(LayerAdapters(attn, ExpertAdapters(triples), router))
+            layers.append(LayerAdapters(attn, triples, router))
         return cls(set_id, layers, config.aux_coef, drop_rng, lr)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -201,7 +192,7 @@ class AdapterSet:
             for name in ("q", "k", "v", "o"):
                 ad = la.attn[name]
                 out += [(f"{p}.attn.{name}.A", ad.a), (f"{p}.attn.{name}.B", ad.b)]
-            for k, triple in enumerate(la.experts.triples):
+            for k, triple in enumerate(la.experts):
                 for proj in ("w1", "w3", "w2"):
                     ad = getattr(triple, proj)
                     out += [
@@ -283,15 +274,8 @@ class ToyModel:
                 self.blocks.append(None)
             else:
                 la = adapters.layers[i]
-                self.blocks.append(
-                    MixLoraBlock(
-                        la.router,
-                        base.layers[i].ffn,
-                        la.experts,
-                        count_topk_dispatch=config.router_count_topk,
-                        layer_index=i,
-                    )
-                )
+                self.blocks.append(MixLoraBlock(la.router, base.layers[i].ffn, la.experts,
+                                                layer_index=i))
 
     def hidden_states(self, tokens: np.ndarray, mode: str = "optimized",
                       training: bool = False) -> tuple[Tensor, list[RoutingStats]]:

@@ -123,26 +123,6 @@ class ExpertTriple:
     w2: LoraAdapter
 
 
-class ExpertAdapters:
-    """All experts' LoRA triples; every triple shares rank and alpha."""
-
-    def __init__(self, triples: list[ExpertTriple]):
-        if len(triples) < 1:
-            raise ContractError("need at least one expert triple")
-        r0, a0 = triples[0].w1.rank, triples[0].w1.alpha
-        for t in triples:
-            for ad in (t.w1, t.w3, t.w2):
-                if ad.rank != r0 or ad.alpha != a0:
-                    raise ContractError("expert triples must share rank and alpha")
-        self.triples = triples
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __getitem__(self, k: int) -> ExpertTriple:
-        return self.triples[k]
-
-
 @dataclass
 class RoutingStats:
     """Dispatch bookkeeping for one routed batch of tokens.
@@ -178,24 +158,19 @@ class RoutingStats:
         )
 
 
-def route(router: Router, h: Tensor, count_topk: bool = False
-          ) -> tuple[Tensor, Tensor, RoutingStats]:
+def route(router: Router, h: Tensor) -> tuple[Tensor, Tensor, RoutingStats]:
     """Score tokens, keep the top-k gates renormalized to sum 1, collect stats.
 
-    Ties break toward the lowest expert index. With count_topk the dispatch
-    counts tally every selected expert instead of the argmax only.
+    Ties break toward the lowest expert index. The dispatch counts tally each
+    token's argmax expert once, which is the F of the balance loss.
     """
     if h.ndim != 2 or h.shape[1] != router.wr.shape[1]:
         raise DimensionError(f"route: input {h.shape} vs router {router.wr.shape}")
-    n = router.n_experts
     with flop_labels(projection="router", source="router"):
         logits = matmul(h, transpose(router.wr))
     probs = softmax_lastdim(logits)
     gates, sel = topk_gates(probs, router.top_k)
-    if count_topk:
-        counts = np.bincount(sel.ravel(), minlength=n)
-    else:
-        counts = np.bincount(probs.data.argmax(axis=1), minlength=n)
+    counts = np.bincount(probs.data.argmax(axis=1), minlength=router.n_experts)
     stats = RoutingStats(
         token_count=h.shape[0],
         dispatch_counts=counts.astype(np.int64),
@@ -227,8 +202,7 @@ class MixLoraBlock:
         self,
         router: Router,
         ffn: SharedFfn,
-        experts: ExpertAdapters,
-        count_topk_dispatch: bool = False,
+        experts: list[ExpertTriple],
         layer_index: int = 0,
     ):
         if len(experts) != router.n_experts:
@@ -239,7 +213,6 @@ class MixLoraBlock:
         self.ffn = ffn
         self.experts = experts
         self.n_experts = len(experts)
-        self.count_topk_dispatch = count_topk_dispatch
         self.layer_index = layer_index
 
     def forward(self, h: Tensor, mode: str, training: bool = False,
@@ -259,9 +232,9 @@ def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
                     ) -> tuple[Tensor, RoutingStats]:
     """Routed expert mixture over the rows of h: ``route``, then one tape op
     (see the module docstring); shared_base selects the optimized path."""
-    ffn, triples = block.ffn, block.experts.triples
+    ffn, triples = block.ffn, block.experts
     with flop_labels(layer=block.layer_index):
-        gates, _, stats = route(block.router, h, block.count_topk_dispatch)
+        gates, _, stats = route(block.router, h)
         sel = stats.topk_indices
         n_tok, top_k = sel.shape
         flat = sel.ravel()
@@ -358,17 +331,11 @@ def expert_load_std(stats: RoutingStats) -> float:
     return float(stats.dispatch_fractions().std())
 
 
-def expert_load_report(stats_by_task: dict[str, RoutingStats]) -> list[dict]:
-    """Flat records {task, expert_id, F, P, std}, one row per (task, expert)."""
-    if not stats_by_task:
-        raise ContractError("expert_load_report: no stats")
+def expert_load_report(task: str, layer_stats: list[RoutingStats]) -> list[dict]:
+    """Flat records {task, layer, expert_id, F, P, std}, one row per (layer, expert)."""
     rows = []
-    for task, st in stats_by_task.items():
-        f = st.dispatch_fractions()
-        p = st.mean_probs()
-        std = expert_load_std(st)
-        for i in range(f.shape[0]):
-            rows.append(
-                {"task": task, "expert_id": i, "F": float(f[i]), "P": float(p[i]), "std": std}
-            )
+    for layer, st in enumerate(layer_stats):
+        f, p, std = st.dispatch_fractions(), st.mean_probs(), expert_load_std(st)
+        rows += [{"task": task, "layer": layer, "expert_id": i, "F": float(f[i]),
+                  "P": float(p[i]), "std": std} for i in range(f.shape[0])]
     return rows

@@ -173,9 +173,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if tape is not None:
         out.requires_grad = True
 
-        def bwd(g, a=a, b=b):
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
+        def bwd(g, a=a, b=b):  # a frozen weight's product is never formed
+            if a.requires_grad:
+                _accum(a, g @ b.data.T)
+            if b.requires_grad:
+                _accum(b, a.data.T @ g)
 
         tape._record(out, bwd)
     return out
@@ -289,15 +291,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         out.requires_grad = True
 
         def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
-            _accum(gain, (g * xhat).sum(axis=0))
-            _accum(bias, g.sum(axis=0))
-            dxhat = g * gain.data
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            _accum(x, dx)
+            if gain.requires_grad:
+                _accum(gain, (g * xhat).sum(axis=0))
+            if bias.requires_grad:
+                _accum(bias, g.sum(axis=0))
+            if x.requires_grad:
+                dxhat = g * gain.data
+                dx = inv * (
+                    dxhat
+                    - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                )
+                _accum(x, dx)
 
         tape._record(out, bwd)
     return out

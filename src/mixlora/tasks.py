@@ -207,7 +207,7 @@ def evaluate(model: ToyModel, task: SyntheticTask,
     cand = task.candidate_ids
     correct = 0
     total = 0
-    layer_stats: list[list[RoutingStats]] = []
+    batch_stats: list[list[RoutingStats]] = []
     for start in range(0, n, batch_size):
         rows = np.arange(start, min(start + batch_size, n))
         batch = make_batch(task, tokens, labels, rows)
@@ -216,11 +216,5 @@ def evaluate(model: ToyModel, task: SyntheticTask,
         picked = cand[np.argmax(logits.data[:, cand], axis=1)]
         correct += int((picked == batch.labels).sum())
         total += batch.labels.size
-        if stats:
-            if not layer_stats:
-                layer_stats = [[st] for st in stats]
-            else:
-                for acc, st in zip(layer_stats, stats):
-                    acc.append(st)
-    merged = [RoutingStats.merge(parts) for parts in layer_stats]
-    return correct / total, merged
+        batch_stats.append(stats)
+    return correct / total, [RoutingStats.merge(list(parts)) for parts in zip(*batch_stats)]

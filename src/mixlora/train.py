@@ -14,7 +14,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError, ContractError, NumericError
 from .model import Batch, ToyModel, build_model, model_loss
-from .moe import expert_load_std
+from .moe import expert_load_report, expert_load_std
 from .numerics import Tape, backward
 from .tasks import SyntheticTask, TaskData, default_tasks, evaluate, mixed_batch, sample_batch
 
@@ -92,7 +92,8 @@ def train(config: RunConfig, multitask: bool = False,
 
 def evaluate_tasks(model: ToyModel, config: RunConfig,
                    task_names: list[str] | None = None) -> dict[str, dict]:
-    """Held-out accuracy and routing report per task."""
+    """Held-out accuracy and routing report per task:
+    {accuracy, expert_load_std: [per layer], records: ``expert_load_report`` rows}."""
     registry = default_tasks()
     names = list(task_names or config.tasks)
     out = {}
@@ -103,7 +104,6 @@ def evaluate_tasks(model: ToyModel, config: RunConfig,
         out[name] = {
             "accuracy": acc,
             "expert_load_std": [expert_load_std(st) for st in stats],
-            "dispatch_fractions": [st.dispatch_fractions().tolist() for st in stats],
-            "mean_probs": [st.mean_probs().tolist() for st in stats],
+            "records": expert_load_report(name, stats),
         }
     return out

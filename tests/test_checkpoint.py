@@ -35,6 +35,13 @@ def resealed(data: bytes) -> bytes:
     return data[:-4] + struct.pack("<I", zlib.crc32(data[:-4]))
 
 
+def with_config(data: bytes, edit) -> bytes:
+    """data with edit applied to its config JSON and cfg_len updated to match."""
+    (cfg_len,) = struct.unpack_from("<Q", data, CFG_LEN_AT)
+    cfg = edit(data[16:16 + cfg_len])
+    return data[:CFG_LEN_AT] + struct.pack("<Q", len(cfg)) + cfg + data[16 + cfg_len:]
+
+
 def assert_same_model(model, expected):
     restored = dict(named_model_tensors(model))
     for name, t in named_model_tensors(expected):
@@ -120,11 +127,9 @@ def test_config_error_inside_a_checkpoint_is_a_checkpoint_error(tmp_path):
 
 def test_max_seq_len_below_the_tasks_in_a_checkpoint_exits_2(tmp_path, capsys):
     data = tiny_checkpoint(tmp_path / "full")
-    (cfg_len,) = struct.unpack_from("<Q", data, CFG_LEN_AT)
-    cfg = data[16:16 + cfg_len].replace(b'"max_seq_len": 16', b'"max_seq_len": 4', 1)
     path = tmp_path / "bad"
-    path.write_bytes(resealed(data[:CFG_LEN_AT] + struct.pack("<Q", len(cfg)) + cfg
-                              + data[16 + cfg_len:]))
+    path.write_bytes(resealed(with_config(
+        data, lambda cfg: cfg.replace(b'"max_seq_len": 16', b'"max_seq_len": 4', 1))))
     for command in ("eval", "inspect-routing"):
         assert main([command, "--ckpt", str(path), "--task", "copy"]) == 2
         assert "max_seq_len 4 below task seq_len 14" in capsys.readouterr().err
@@ -135,7 +140,15 @@ def test_max_seq_len_below_the_tasks_in_a_checkpoint_exits_2(tmp_path, capsys):
     (lambda d: d.replace(b'"n_experts": 2', b'"n_experts": 3', 1), "its config implies"),
     (lambda d: d + bytes(4), "its config implies"),
     (lambda d: d[:4] + struct.pack("<I", 1) + d[8:], "unsupported checkpoint version 1"),
-], ids=["seed", "n_experts", "trailing-bytes", "version-1"])
+    # a version-2 file from before these two config fields were removed
+    (lambda d: with_config(d, lambda c: c.replace(b'"dropout_p"',
+                                                  b'"dropout_scope": "both", "dropout_p"', 1)),
+     "checkpoint config: unknown config keys: ['dropout_scope']"),
+    (lambda d: with_config(d, lambda c: c.replace(b'"seed"',
+                                                  b'"router_count_topk": false, "seed"', 1)),
+     "checkpoint config: unknown config keys: ['router_count_topk']"),
+], ids=["seed", "n_experts", "trailing-bytes", "version-1", "dropout_scope",
+        "router_count_topk"])
 def test_resealed_edits_exit_2(tmp_path, capsys, edit, message):
     data = tiny_checkpoint(tmp_path / "full")
     edited = resealed(edit(data))

@@ -6,7 +6,9 @@ import struct
 import pytest
 
 from mixlora import bench, cli
+from mixlora.checkpoint import load_checkpoint
 from mixlora.cli import main
+from mixlora.tasks import default_tasks, evaluate
 
 # A one-expert, top-1 mixture: the plain LoRA baseline.
 TINY = {
@@ -69,6 +71,28 @@ def test_eval_and_inspect_routing_on_a_one_expert_checkpoint(ckpt, capsys):
     assert code == 0
     (record,) = json.loads(out)
     assert record["expert_id"] == 0 and record["F"] == 1.0 and record["P"] == 1.0
+
+
+def test_routing_is_reported_per_layer(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, n_layers=2, n_experts=4, top_k=2)))
+    ckpt = str(tmp_path / "ckpt")
+    assert main(["train", "--config", str(config), "--out", ckpt]) == 0
+    capsys.readouterr()
+    code, out = run(["inspect-routing", "--ckpt", ckpt, "--task", "copy"], capsys)
+    assert code == 0
+    records = json.loads(out)
+    assert [(r["layer"], r["expert_id"]) for r in records] == [
+        (layer, e) for layer in range(2) for e in range(4)]
+    loaded, model = load_checkpoint(ckpt)
+    task = default_tasks()["copy"]
+    _, stats = evaluate(model, task, task.generate(loaded.seed).test, loaded.mode)
+    for layer, st in enumerate(stats):
+        fractions = [r["F"] for r in records if r["layer"] == layer]
+        assert fractions == st.dispatch_fractions().tolist()
+        assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
+    code, out = run(["eval", "--ckpt", ckpt, "--task", "copy"], capsys)
+    assert code == 0 and json.loads(out)["records"] == records
 
 
 def test_bench(config_path, capsys):

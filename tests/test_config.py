@@ -17,11 +17,10 @@ from mixlora.errors import ConfigError
 # The flat JSON of the default RunConfig; keys sorted.
 DEFAULT_JSON = (
     '{"aux_coef": 0.01, "batch_size": 16, "d_ff": 128, "d_model": 64, '
-    '"dropout_p": 0.05, "dropout_scope": "both", "lora_alpha": 32.0, '
-    '"lora_rank": 16, "lr": 0.0002, "max_seq_len": 64, "mode": "optimized", '
-    '"n_experts": 8, "n_heads": 4, "n_layers": 2, "precision": "f64", '
-    '"router_count_topk": false, "seed": 7, "steps": 500, "tasks": ["copy"], '
-    '"top_k": 2, "vocab_size": 8192}'
+    '"dropout_p": 0.05, "lora_alpha": 32.0, "lora_rank": 16, "lr": 0.0002, '
+    '"max_seq_len": 64, "mode": "optimized", "n_experts": 8, "n_heads": 4, '
+    '"n_layers": 2, "precision": "f64", "seed": 7, "steps": 500, '
+    '"tasks": ["copy"], "top_k": 2, "vocab_size": 8192}'
 )
 
 ILL_TYPED = [
@@ -30,7 +29,6 @@ ILL_TYPED = [
     '{"aux_coef": "1"}',
     '{"dropout_p": null}',
     '{"precision": []}',
-    '{"router_count_topk": "no"}',
     '{"seed": true}',
     '{"lr": NaN}',
     '{"lr": Infinity}',
@@ -60,9 +58,8 @@ def test_json_round_trip_is_lossless():
     config = RunConfig(
         vocab_size=96, d_model=32, n_heads=2, d_ff=48, n_layers=1, n_experts=4,
         top_k=1, lora_rank=4, lora_alpha=8.0, dropout_p=0.0, aux_coef=0.0,
-        max_seq_len=32, dropout_scope="experts", router_count_topk=True,
-        lr=5e-3, steps=3, batch_size=4, seed=0, mode="vanilla", precision="f32",
-        tasks=("copy", "parity"),
+        max_seq_len=32, lr=5e-3, steps=3, batch_size=4, seed=0, mode="vanilla",
+        precision="f32", tasks=("copy", "parity"),
     )
     text = config.to_json()
     back = RunConfig.from_json(text)
@@ -72,7 +69,7 @@ def test_json_round_trip_is_lossless():
 
 
 def test_model_config_hash_is_unchanged():
-    assert config_hash(RunConfig().model()) == "63df296228c1"
+    assert config_hash(RunConfig().model()) == "e6436c5f9906"
 
 
 def test_grad_accum_is_an_unknown_key():

@@ -163,3 +163,56 @@ def test_adapted_forward_records_three_nodes_or_two(rng):
         with Tape() as tape:
             out = adapted_forward(base, ad, x, True, np.random.default_rng(0))
         assert len(tape.nodes) == nodes and tape.nodes[-1][0] is out
+
+
+class CountsMatmuls(np.ndarray):
+    """An array that counts the matrix products it takes part in, transposed
+    or not; results are plain arrays, so only this operand is counted."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(v):
+            return v.view(np.ndarray) if isinstance(v, CountsMatmuls) else v
+
+        if ufunc is np.matmul:
+            CountsMatmuls.calls += 1
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(v) for v in kwargs["out"])
+        return getattr(ufunc, method)(*(plain(v) for v in inputs), **kwargs)
+
+
+def products_of(t: Tensor, run) -> int:
+    """Number of matrix products ``run()`` forms with t's data as an operand."""
+    t.data = t.data.view(CountsMatmuls)
+    CountsMatmuls.calls = 0
+    run()
+    t.data = t.data.view(np.ndarray)
+    return CountsMatmuls.calls
+
+
+def forward_backward(fn, x):
+    def run():
+        with Tape() as tape:
+            loss = sum_all(fn(x))
+        backward(tape, loss)
+    return run
+
+
+def test_frozen_projection_backward_skips_the_weight_gradient(rng):
+    base = FrozenLinear(rng.normal(size=(5, 6)))
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    # x @ W.T forward; x.T @ g would be W's gradient, which nothing reads.
+    assert products_of(x, forward_backward(base.apply, x)) == 1
+    assert base.w.grad is None and base._wt.grad is None
+    assert np.array_equal(x.grad, np.ones((4, 5)) @ base.w.data)
+
+
+def test_delta_backward_skips_the_input_gradient_of_a_frozen_input(rng):
+    ad = make_adapter(rng)
+    x = Tensor(rng.normal(size=(4, 6)))
+    # A x forward only; gu @ A would be x's gradient, which nothing reads.
+    assert products_of(ad.a, forward_backward(lambda v: lora_delta(ad, v), x)) == 1
+    assert x.grad is None and ad.a.grad.any()
+    x.requires_grad = True
+    assert products_of(ad.a, forward_backward(lambda v: lora_delta(ad, v), x)) == 2

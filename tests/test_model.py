@@ -254,7 +254,7 @@ def test_unreached_expert_gradient_reads_zero(rng):
     with tape:
         loss = model_loss(model, batch, training=False).total
     backward(tape, loss)
-    for k, tri in enumerate(model.adapters.layers[0].experts.triples):
+    for k, tri in enumerate(model.adapters.layers[0].experts):
         grads = [t.grad for ad in (tri.w1, tri.w3, tri.w2) for t in (ad.a, ad.b)]
         if k == 0:
             assert all(g.any() for g in grads)

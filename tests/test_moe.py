@@ -5,7 +5,6 @@ from mixlora import numerics
 from mixlora.errors import ContractError
 from mixlora.lora import FrozenLinear, LoraAdapter
 from mixlora.moe import (
-    ExpertAdapters,
     ExpertTriple,
     MixLoraBlock,
     Router,
@@ -40,12 +39,12 @@ def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
                for _ in range(n_experts)]
     router = Router(Tensor(rng.normal(0, 0.5, (n_experts, d)).astype(dtype),
                            requires_grad=True), top_k)
-    return MixLoraBlock(router, ffn, ExpertAdapters(triples))
+    return MixLoraBlock(router, ffn, triples)
 
 
 def expert_params(block):
     """Every expert's A and B tensors, expert by expert, in w1, w3, w2 order."""
-    return [t for tri in block.experts.triples for ad in (tri.w1, tri.w3, tri.w2)
+    return [t for tri in block.experts for ad in (tri.w1, tri.w3, tri.w2)
             for t in (ad.a, ad.b)]
 
 
@@ -114,13 +113,6 @@ def test_route_properties_random(rng):
     assert stats.dispatch_counts.sum() == 1000
     assert stats.dispatch_fractions().sum() == pytest.approx(1.0, abs=1e-12)
     assert stats.mean_probs().sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_route_count_topk_mode(rng):
-    router = Router(Tensor(rng.normal(size=(4, 6)), requires_grad=True), 2)
-    h = Tensor(rng.normal(size=(50, 6)))
-    _, _, stats = route(router, h, count_topk=True)
-    assert stats.dispatch_counts.sum() == 100  # every token counted twice
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +465,7 @@ def chain_mixlora(block, h, shared_base, training, rng):
     """The routed mixture built from generic 2-D tape ops, one small chain per
     expert, in the dispatch and dropout draw order of ``mixlora_forward``."""
     ffn = block.ffn
-    gates, _, stats = route(block.router, h, block.count_topk_dispatch)
+    gates, _, stats = route(block.router, h)
     sel = stats.topk_indices
     n_tok, top_k = sel.shape
     flat = sel.ravel()
@@ -575,10 +567,13 @@ def test_load_std_uniform_and_one_hot():
 def test_expert_load_report_schema(rng):
     router = Router(Tensor(rng.normal(size=(4, 5)), requires_grad=True), 2)
     _, _, stats = route(router, Tensor(rng.normal(size=(32, 5))))
-    rows = expert_load_report({"demo": stats})
-    assert len(rows) == 4
-    assert set(rows[0]) == {"task", "expert_id", "F", "P", "std"}
-    assert sum(r["F"] for r in rows) == pytest.approx(1.0, abs=1e-12)
+    rows = expert_load_report("demo", [stats, stats])
+    assert len(rows) == 8
+    assert all(set(r) == {"task", "layer", "expert_id", "F", "P", "std"} for r in rows)
+    assert [(r["layer"], r["expert_id"]) for r in rows] == [(i, e) for i in (0, 1)
+                                                           for e in range(4)]
+    for layer in (0, 1):
+        assert sum(r["F"] for r in rows if r["layer"] == layer) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stats_merge_accumulates(rng):
