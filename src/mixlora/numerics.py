@@ -295,14 +295,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 _accum(gain, (g * xhat).sum(axis=0))
             if bias.requires_grad:
                 _accum(bias, g.sum(axis=0))
-            if x.requires_grad:
-                dxhat = g * gain.data
-                dx = inv * (
-                    dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-                )
-                _accum(x, dx)
+            dxhat = g * gain.data
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            _accum(x, dx)
 
         tape._record(out, bwd)
     return out

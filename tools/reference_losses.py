@@ -3,9 +3,8 @@
 From the repository root:
 
     python3 tools/reference_losses.py > losses.json
-    python3 tools/reference_losses.py --workload train-d64 --seeds 0 5
 
-Runs each seed of [first, last) through ``perfbench/workloads.reference_loss``
+Runs seeds 0-19 of every workload through ``perfbench/workloads.reference_loss``
 with one BLAS thread, as ``perfbench/run.py`` does, and prints one JSON object
 ``{workload: {seed: repr(loss)}}``. ``repr`` keeps every bit, so running it on
 two revisions and diffing the outputs shows whether a change moved any seed.
@@ -14,7 +13,6 @@ It reads ``perfbench/`` and writes nothing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -23,11 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="tools/reference_losses.py")
-    p.add_argument("--workload", default="all")
-    p.add_argument("--seeds", type=int, nargs=2, default=(0, 20), metavar=("FIRST", "LAST"))
-    args = p.parse_args(argv)
+def main() -> int:
     sys.path[:0] = [PERFBENCH]
     from run import BLAS_THREADS, THREAD_VARS  # numpy is not imported yet
 
@@ -36,12 +30,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import workloads
 
-    names = sorted(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     out = {}
-    for name in names:
+    for name in sorted(workloads.WORKLOADS):
         wl = workloads.WORKLOADS[name]
-        out[name] = {str(seed): repr(workloads.reference_loss(wl, seed))
-                     for seed in range(*args.seeds)}
+        out[name] = {str(seed): repr(workloads.reference_loss(wl, seed)) for seed in range(20)}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
 
