@@ -6,8 +6,9 @@ Layout, version 2 (integers little-endian):
     payload   ``AdapterSet.data``, little-endian, in the config's precision
     u32       CRC32 of every byte before it
 
-The base is not stored: loading regenerates it from the config's seed. The
-config fixes the payload's dtype and length, so the file stores neither.
+The base is not stored: loading takes the process's resident base, or
+regenerates it from the seed (``model.resident_base``). The config fixes the
+payload's dtype and length, so the file stores neither.
 Reading checks, in order, so bad input fails before any large read or
 allocation: magic and version; cfg_len against the file size, then the config;
 the file size against the size that config implies; the CRC; finite values.
@@ -113,14 +114,15 @@ def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, bytes, np.ndarray]:
 
 
 def load_checkpoint(path: str) -> tuple[RunConfig, ToyModel]:
-    """Rebuild the model from the config's seed, refuse a base other than the
-    saved one, and restore the adapter buffer bit-exactly."""
+    """Take the process's resident base, or regenerate it from the seed;
+    refuse a base other than the saved one, and restore the adapter buffer
+    bit-exactly. The base checksum is recomputed on every load."""
     config, base_checksum, buffer = read_records(path)
     model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
-    regenerated = model.base.checksum()
-    if regenerated != base_checksum:
+    held = model.base.checksum()
+    if held != base_checksum:
         raise CheckpointError(
-            f"frozen base checksum {regenerated.hex()} from seed {config.seed} "
+            f"frozen base checksum {held.hex()} from seed {config.seed} "
             f"does not match the saved {base_checksum.hex()}"
         )
     model.adapters.data[...] = buffer

@@ -9,7 +9,8 @@ not an int, and floats must be finite. Round-tripping through
 ``to_dict``/``from_dict`` is lossless. A config whose frozen base plus one
 adapter set, or whose largest training-step array, would exceed
 ``MAX_ELEMENTS`` is rejected, so no dimension or batch size reaches an
-allocation.
+allocation. ``lora_alpha`` and ``aux_coef`` are bounded far below the values
+that overflow the optimizer state.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from .moe import MODES
 
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 MAX_ELEMENTS = 2**31  # frozen base plus one adapter set; one step's largest array
+# Gradients scale with lora_alpha and aux_coef, and Adam's second moment with
+# their square; f32 overflowed it at alpha 1e20 and aux_coef 1e38. Each bound
+# is far below that and well above every value in use (alpha 32, aux_coef 0.1).
+MAX_LORA_ALPHA = 4096.0
+MAX_AUX_COEF = 1.0
 
 
 def _finite_number(value) -> bool:
@@ -83,12 +89,13 @@ class ModelConfig:
                 f"lora_rank {self.lora_rank} exceeds min(d_model, d_ff) "
                 f"= {min(self.d_model, self.d_ff)}"
             )
-        if self.lora_alpha <= 0:
-            raise ConfigError(f"lora_alpha must be positive, got {self.lora_alpha}")
+        if not 0 < self.lora_alpha <= MAX_LORA_ALPHA:
+            raise ConfigError(
+                f"lora_alpha {self.lora_alpha} outside (0, {MAX_LORA_ALPHA:g}]")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p {self.dropout_p} outside [0, 1)")
-        if self.aux_coef < 0:
-            raise ConfigError(f"aux_coef must be >= 0, got {self.aux_coef}")
+        if not 0 <= self.aux_coef <= MAX_AUX_COEF:
+            raise ConfigError(f"aux_coef {self.aux_coef} outside [0, {MAX_AUX_COEF:g}]")
         size = frozen_parameter_count(self) + trainable_parameter_count(self)
         if size > MAX_ELEMENTS:
             raise ConfigError(

@@ -14,6 +14,7 @@ constant ``aux_coef`` per layer (up to rounding). Residual structure per layer:
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from dataclasses import dataclass, field
 
@@ -45,6 +46,12 @@ from .optim import Adam
 INIT_STD = 0.02  # stand-in "pretrained" weight scale
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, no longer writeable; views taken from it afterwards are not either."""
+    a.flags.writeable = False
+    return a
+
+
 class LayerWeights:
     """Frozen per-layer weights: two layer norms, attention, shared FFN."""
 
@@ -52,38 +59,39 @@ class LayerWeights:
         d, dff = config.d_model, config.d_ff
 
         def lin(rows, cols):
-            return FrozenLinear(rng.normal(0.0, INIT_STD, size=(rows, cols)).astype(dtype))
+            w = rng.normal(0.0, INIT_STD, size=(rows, cols)).astype(dtype)
+            return FrozenLinear(_read_only(w))
 
         self.wq = lin(d, d)
         self.wk = lin(d, d)
         self.wv = lin(d, d)
         self.wo = lin(d, d)
         self.ffn = SharedFfn(lin(dff, d), lin(dff, d), lin(d, dff))
-        self.ln1_g = Tensor(np.ones(d, dtype=dtype))
-        self.ln1_b = Tensor(np.zeros(d, dtype=dtype))
-        self.ln2_g = Tensor(np.ones(d, dtype=dtype))
-        self.ln2_b = Tensor(np.zeros(d, dtype=dtype))
+        self.ln1_g = Tensor(_read_only(np.ones(d, dtype=dtype)))
+        self.ln1_b = Tensor(_read_only(np.zeros(d, dtype=dtype)))
+        self.ln2_g = Tensor(_read_only(np.ones(d, dtype=dtype)))
+        self.ln2_b = Tensor(_read_only(np.zeros(d, dtype=dtype)))
 
 
 class FrozenBase:
-    """All frozen storage of one model; shared verbatim across adapter sets."""
+    """All frozen storage of one model, drawn from the seed; every array is
+    read-only, so one base can be shared by any number of models and engines.
+
+    The constructor always draws a new base; ``resident_base`` shares one."""
 
     def __init__(self, config: ModelConfig, seed: int, dtype=np.float64):
         config.validate()
-        self.config = config
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng([int(seed), 0])
         d = config.d_model
-        self.tok_emb = Tensor(
-            rng.normal(0.0, INIT_STD, size=(config.vocab_size, d)).astype(dtype)
-        )
-        self.pos_emb = Tensor(
-            rng.normal(0.0, INIT_STD, size=(config.max_seq_len, d)).astype(dtype)
-        )
+
+        def draw(rows):
+            return _read_only(rng.normal(0.0, INIT_STD, size=(rows, d)).astype(dtype))
+
+        self.tok_emb = Tensor(draw(config.vocab_size))
+        self.pos_emb = Tensor(draw(config.max_seq_len))
         self.layers = [LayerWeights(config, rng, dtype) for _ in range(config.n_layers)]
-        self.head = FrozenLinear(
-            rng.normal(0.0, INIT_STD, size=(config.vocab_size, d)).astype(dtype)
-        )
+        self.head = FrozenLinear(draw(config.vocab_size))
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         out = [("base.tok_emb", self.tok_emb), ("base.pos_emb", self.pos_emb)]
@@ -114,6 +122,23 @@ class FrozenBase:
         for name, t in self.named_tensors():
             crc = zlib.crc32(t.data, zlib.crc32(name.encode(), crc))
         return crc.to_bytes(4, "little")
+
+
+# Every live base, keyed by all that FrozenBase.__init__ reads. An entry lasts
+# exactly as long as some model or engine holds its base.
+_resident: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def resident_base(config: ModelConfig, seed: int, dtype=np.float64) -> FrozenBase:
+    """The process's live base for these dimensions, seed and dtype, or a new
+    one drawn from the seed (and then registered) if none is alive."""
+    config.validate()
+    key = (config.vocab_size, config.d_model, config.max_seq_len, config.n_layers,
+           config.d_ff, int(seed), np.dtype(dtype))
+    base = _resident.get(key)
+    if base is None:
+        base = _resident[key] = FrozenBase(config, seed, dtype)
+    return base
 
 
 class LayerAdapters:
@@ -313,7 +338,7 @@ class ToyModel:
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float64,
                 lr: float = 2e-4) -> ToyModel:
-    base = FrozenBase(config, seed, dtype)
+    base = resident_base(config, seed, dtype)
     adapters = AdapterSet.create(config, "main", seed, dtype, lr)
     return ToyModel(config, base, adapters)
 

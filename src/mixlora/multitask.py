@@ -1,10 +1,12 @@
 """Several adapter sets training over one shared frozen base.
 
-The engine keeps exactly one copy of the frozen storage; every adapter set
-is an independent logical model with its own optimizer. A multi-task batch
-packs one slice per set, processed task-major: slice t flows through set t
-only, so results and gradients are identical to standalone runs. Training
-runs ``train.train_step`` once per slice.
+The process keeps exactly one copy of the frozen storage per dimensions, seed
+and dtype (``model.resident_base``); the engine and every model built over the
+same base share it. Every adapter set is an independent logical model with its
+own optimizer. A multi-task batch packs one slice per set, processed
+task-major: slice t flows through set t only, so results and gradients are
+identical to standalone runs. Training runs ``train.train_step`` once per
+slice.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .model import AdapterSet, Batch, FrozenBase, ModelConfig, ToyModel
+from .model import AdapterSet, Batch, ModelConfig, ToyModel, resident_base
 from .train import train_step
 
 
@@ -37,7 +39,7 @@ class MultiTaskEngine:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.lr = lr
-        self.base = FrozenBase(config, seed, dtype)
+        self.base = resident_base(config, seed, dtype)
         self.sets: dict[str, AdapterSet] = {}
         self._models: dict[str, ToyModel] = {}
 

@@ -1,6 +1,9 @@
 import dataclasses
 import errno
+import gc
 import struct
+import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -13,7 +16,8 @@ from mixlora.checkpoint import load_checkpoint, named_model_tensors, read_record
 from mixlora.cli import main
 from mixlora.config import RunConfig, trainable_parameter_count
 from mixlora.errors import CheckpointError, ConfigError
-from mixlora.model import build_model
+from mixlora.lora import FrozenLinear
+from mixlora.model import AdapterSet, FrozenBase, ToyModel, build_model, resident_base
 from mixlora.train import train
 
 TINY = RunConfig(
@@ -62,6 +66,51 @@ def test_round_trip_is_bit_exact(tmp_path, n_experts, precision):
     again = tmp_path / "again"
     save_checkpoint(str(again), config2, model2)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_load_onto_a_resident_base_allocates_less_than_a_base(tmp_path):
+    # Embeddings dominate the base, so a load that builds one stands out.
+    config = dataclasses.replace(TINY, vocab_size=4096, d_model=32, d_ff=32)
+    model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, config, model)
+    tracemalloc.start()
+    try:
+        _, loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.base.nbytes()
+    assert loaded.base is model.base
+
+
+def test_load_after_the_saver_is_gone_round_trips_bit_exactly(tmp_path):
+    config = dataclasses.replace(TINY, seed=5)
+    model, _ = train(config)
+    expected = {name: t.data.copy() for name, t in named_model_tensors(model)}
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, config, model)
+    gone = weakref.ref(model.base)
+    del model
+    gc.collect()
+    assert gone() is None
+    _, loaded = load_checkpoint(path)
+    restored = dict(named_model_tensors(loaded))
+    assert restored.keys() == expected.keys()
+    for name, data in expected.items():
+        assert restored[name].dtype == data.dtype
+        assert np.array_equal(restored[name].data, data), name
+
+
+def test_wrong_seed_exits_2_while_the_saved_seed_base_is_resident(tmp_path, capsys):
+    model = build_model(TINY.model(), seed=TINY.seed, dtype=TINY.dtype, lr=TINY.lr)
+    path = tmp_path / "ckpt"
+    save_checkpoint(str(path), TINY, model)
+    path.write_bytes(resealed(path.read_bytes().replace(b'"seed": 3', b'"seed": 4', 1)))
+    assert resident_base(TINY.model(), TINY.seed, TINY.dtype) is model.base
+    for command in ("eval", "inspect-routing"):
+        assert main([command, "--ckpt", str(path), "--task", "copy"]) == 2
+        assert "frozen base checksum" in capsys.readouterr().err
 
 
 def test_truncation_at_every_offset_is_a_checkpoint_error(tmp_path):
@@ -218,8 +267,18 @@ def test_unreadable_paths_are_checkpoint_errors(tmp_path):
 @pytest.mark.parametrize("record", ["set.layer0.router", "set.layer0.expert1.w2.B",
                                     "base.layer0.ffn.w1"])
 def test_non_finite_records_exit_2(tmp_path, capsys, record, value):
-    model = build_model(TINY.model(), seed=TINY.seed, dtype=TINY.dtype, lr=TINY.lr)
-    dict(named_model_tensors(model))[record].data.flat[0] = value
+    if record.startswith("base."):
+        # A built model's base is shared and read-only: put a writable copy of
+        # ffn.w1 into a cold, unregistered base instead.
+        base = FrozenBase(TINY.model(), TINY.seed, TINY.dtype)
+        w1 = base.layers[0].ffn.w1.w.data.copy()
+        w1.flat[0] = value
+        base.layers[0].ffn.w1 = FrozenLinear(w1)
+        aset = AdapterSet.create(TINY.model(), "main", TINY.seed, TINY.dtype, TINY.lr)
+        model = ToyModel(TINY.model(), base, aset)
+    else:
+        model = build_model(TINY.model(), seed=TINY.seed, dtype=TINY.dtype, lr=TINY.lr)
+        dict(named_model_tensors(model))[record].data.flat[0] = value
     path = str(tmp_path / "ckpt")
     save_checkpoint(path, TINY, model)
     for command in ("eval", "inspect-routing"):

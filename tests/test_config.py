@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -156,3 +157,25 @@ def test_max_seq_len_below_the_tasks_is_a_config_error(tmp_path, capsys):
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
     assert "max_seq_len" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"lora_alpha": 1e308, "steps": 3}', "lora_alpha 1e+308 outside"),
+    ('{"aux_coef": 1e308, "steps": 1}', "aux_coef 1e+308 outside"),
+], ids=["lora_alpha", "aux_coef"])
+def test_overflowing_scale_is_a_config_error(text, message, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RunConfig.from_json(text)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_scale_bounds_are_inclusive():
+    RunConfig(lora_alpha=config_mod.MAX_LORA_ALPHA, aux_coef=config_mod.MAX_AUX_COEF).validate()
+    with pytest.raises(ConfigError, match="lora_alpha"):
+        RunConfig(lora_alpha=config_mod.MAX_LORA_ALPHA * 2).validate()
+    with pytest.raises(ConfigError, match="aux_coef"):
+        RunConfig(aux_coef=config_mod.MAX_AUX_COEF * 2).validate()

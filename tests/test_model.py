@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mixlora.model import (
     model_loss,
     trainable_parameter_count,
 )
+from mixlora.multitask import MultiTaskEngine, memory_census
 from mixlora.numerics import Tape, backward
 from mixlora.train import train_step
 from conftest import assert_flat_views, fd_grad, max_rel_err
@@ -332,3 +335,60 @@ def test_only_trainable_parameters_change(rng):
         if not np.array_equal(p.data, before[name]):
             moved += 1
     assert moved > 0
+
+
+# ---------------------------------------------------------------------------
+# resident frozen base
+# ---------------------------------------------------------------------------
+
+
+def build(seed=11, dtype=np.float64, **fields):
+    return build_model(dataclasses.replace(SMALL, **fields), seed=seed, dtype=dtype)
+
+
+BASE_FIELDS = [{"seed": 12}, {"dtype": np.float32}, {"vocab_size": 40}, {"d_model": 12},
+               {"max_seq_len": 20}, {"n_layers": 2}, {"d_ff": 16}]
+ADAPTER_FIELDS = [{"lora_rank": 1}, {"n_experts": 3}, {"aux_coef": 0.5}]
+
+
+def test_models_with_one_base_key_share_one_base():
+    first = build()
+    assert build().base is first.base
+
+
+@pytest.mark.parametrize("change", BASE_FIELDS, ids=lambda c: next(iter(c)))
+def test_a_base_field_change_gives_a_distinct_base(change):
+    first = build()
+    assert build(**change).base is not first.base
+
+
+@pytest.mark.parametrize("change", ADAPTER_FIELDS, ids=lambda c: next(iter(c)))
+def test_an_adapter_field_change_shares_the_base(change):
+    first = build()
+    assert build(**change).base is first.base
+
+
+def test_a_base_dies_with_its_last_model_and_rebuilds_bit_exactly():
+    model = build(seed=13)
+    gone = weakref.ref(model.base)
+    del model
+    gc.collect()
+    assert gone() is None
+    rebuilt = build(seed=13).base
+    assert rebuilt.checksum() == FrozenBase(SMALL, 13).checksum()
+
+
+def test_engine_and_model_share_one_base():
+    engine = MultiTaskEngine(SMALL, seed=14)
+    engine.add_set("a")
+    census = memory_census(engine)["base_bytes"]
+    assert build(seed=14).base is engine.base
+    assert memory_census(engine)["base_bytes"] == census == engine.base.nbytes()
+
+
+def test_base_arrays_are_read_only():
+    base = build(seed=16).base
+    arrays = [t.data for _, t in base.named_tensors()] + [base.layers[0].wq._wt.data]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
