@@ -36,7 +36,6 @@ from .moe import (
     RoutingStats,
     SharedFfn,
     aux_loss,
-    dense_ffn_forward,
     expert_load_report,
     expert_load_std,
     mixlora_forward,

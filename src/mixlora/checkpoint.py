@@ -40,10 +40,7 @@ VERSION = 2
 
 # perfbench's round-trip check compares models through checkpoint.named_model_tensors.
 def named_model_tensors(model: ToyModel) -> list[tuple[str, Tensor]]:
-    out = list(model.base.named_tensors())
-    if model.adapters is not None:
-        out.extend(model.adapters.named_parameters())
-    return out
+    return model.base.named_tensors() + model.adapters.named_parameters()
 
 
 def save_checkpoint(path: str, config: RunConfig, model: ToyModel) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from .config import RunConfig, load_config
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .moe import MODES
 from .tasks import default_tasks, required_vocab
-from .train import evaluate_tasks, train
+from .train import check_batching, evaluate_tasks, train
 
 SWEEP_AXES = {
     "aux_coef": (0.0, 1e-3, 1e-2, 1e-1),
@@ -82,6 +83,7 @@ def cmd_train(args) -> int:
     if args.mode:
         config.mode = args.mode
     config.validate()
+    check_batching(config, args.multitask)
     metrics_path = args.out + ".metrics.jsonl"
     with _open_out(metrics_path, "metrics") as log:
         model, metrics = train(config, multitask=args.multitask,
@@ -127,11 +129,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def sweep_point(config_dict: dict, axis: str, value) -> dict:
+def sweep_configs(config: RunConfig, axis: str) -> list[RunConfig]:
+    """One config per axis point; all are checked before any point trains."""
+    name = "aux_coef" if axis == "aux_coef" else "lora_rank"
+    points = [dataclasses.replace(config, **{name: value}) for value in SWEEP_AXES[axis]]
+    for point in points:
+        check_batching(point.validate(), multitask=len(point.tasks) > 1)
+    return points
+
+
+def sweep_point(config: RunConfig, axis: str, value) -> dict:
     """Train and evaluate one sweep point (top-level for process pools)."""
-    raw = dict(config_dict)
-    raw["aux_coef" if axis == "aux_coef" else "lora_rank"] = value
-    config = RunConfig.from_dict(raw)
     model, metrics = train(config, multitask=len(config.tasks) > 1)
     results = evaluate_tasks(model, config)
     accs = [r["accuracy"] for r in results.values()]
@@ -146,23 +154,22 @@ def sweep_point(config_dict: dict, axis: str, value) -> dict:
     }
 
 
-def run_sweep(config: RunConfig, axis: str, jobs: int = 1) -> list[dict]:
+def run_sweep(points: list[RunConfig], axis: str, jobs: int = 1) -> list[dict]:
     values = SWEEP_AXES[axis]
-    cfg = config.to_dict()
     workers = min(jobs, len(values))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(sweep_point, [cfg] * len(values),
-                                 [axis] * len(values), values))
-    return [sweep_point(cfg, axis, v) for v in values]
+            return list(pool.map(sweep_point, points, [axis] * len(values), values))
+    return [sweep_point(p, axis, v) for p, v in zip(points, values)]
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    points = sweep_configs(config, args.axis)
     with (_open_out(args.out, "sweep rows") if args.out else contextlib.nullcontext()) as out:
-        lines = [json.dumps(row) for row in run_sweep(config, args.axis, jobs=args.jobs)]
+        lines = [json.dumps(row) for row in run_sweep(points, args.axis, jobs=args.jobs)]
         if args.out:
             out.write("\n".join(lines) + "\n")
     print("\n".join(lines))

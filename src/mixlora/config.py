@@ -9,8 +9,8 @@ not an int, and floats must be finite. Round-tripping through
 ``to_dict``/``from_dict`` is lossless. A config whose frozen base plus one
 adapter set, or whose largest training-step array, would exceed
 ``MAX_ELEMENTS`` is rejected, so no dimension or batch size reaches an
-allocation. ``lora_alpha`` and ``aux_coef`` are bounded far below the values
-that overflow the optimizer state.
+allocation. ``lora_alpha``, ``aux_coef`` and ``lr`` are bounded below the
+values that overflow the optimizer state or the activations.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ MAX_ELEMENTS = 2**31  # frozen base plus one adapter set; one step's largest arr
 # is far below that and well above every value in use (alpha 32, aux_coef 0.1).
 MAX_LORA_ALPHA = 4096.0
 MAX_AUX_COEF = 1.0
+# Adam moves every weight by up to about lr per step, whatever the gradient's
+# scale. In f32 at the default dims, lr 3 overflowed the activations within
+# 500 steps while lr 1 ran 2000 clean; the bound is 100x every lr in use (1e-2).
+MAX_LR = 1.0
 
 
 def _finite_number(value) -> bool:
@@ -142,8 +146,8 @@ class RunConfig(ModelConfig):
 
     def validate(self) -> "RunConfig":
         super().validate()
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr <= MAX_LR:
+            raise ConfigError(f"lr {self.lr} outside [0, {MAX_LR:g}]")
         if self.steps < 0:
             raise ConfigError("steps must be a non-negative integer")
         if self.batch_size < 1:

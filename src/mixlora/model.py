@@ -30,7 +30,6 @@ from .moe import (
     RoutingStats,
     SharedFfn,
     aux_loss,
-    dense_ffn_forward,
 )
 from .numerics import (
     Tensor,
@@ -165,11 +164,9 @@ class AdapterSet:
     a gradient the loss did not reach reads zero."""
 
     def __init__(self, set_id: str, layers: list[LayerAdapters],
-                 aux_coef: float, dropout_rng: np.random.Generator,
-                 lr: float = 2e-4):
+                 dropout_rng: np.random.Generator, lr: float = 2e-4):
         self.set_id = set_id
         self.layers = layers
-        self.aux_coef = float(aux_coef)
         self.dropout_rng = dropout_rng
         tensors = [t for _, t in self.named_parameters()]
         self.data = np.zeros(sum(t.data.size for t in tensors), tensors[0].dtype)
@@ -208,7 +205,7 @@ class AdapterSet:
                        for _ in range(config.n_experts)]
             router = Router.create(config.n_experts, d, config.top_k, rng, dtype)
             layers.append(LayerAdapters(attn, triples, router))
-        return cls(set_id, layers, config.aux_coef, drop_rng, lr)
+        return cls(set_id, layers, drop_rng, lr)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []
@@ -253,14 +250,12 @@ class LossOutput:
     stats: list[RoutingStats] = field(default_factory=list)
 
 
-def attention_forward(lw: LayerWeights, attn_adapters: dict | None, x: Tensor,
+def attention_forward(lw: LayerWeights, attn_adapters: dict[str, LoraAdapter], x: Tensor,
                       n_seqs: int, n_heads: int, training: bool = False,
                       rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head causal self-attention with adapted q/k/v/o projections."""
 
     def project(frozen, name, inp):
-        if attn_adapters is None:
-            return frozen.apply(inp)
         return adapted_forward(frozen, attn_adapters[name], inp, training, rng)
 
     heads = causal_attention(project(lw.wq, "q", x), project(lw.wk, "k", x),
@@ -268,39 +263,26 @@ def attention_forward(lw: LayerWeights, attn_adapters: dict | None, x: Tensor,
     return project(lw.wo, "o", heads)
 
 
-def layer_forward(lw: LayerWeights, la: LayerAdapters | None, block, h: Tensor,
+def layer_forward(lw: LayerWeights, la: LayerAdapters, block: MixLoraBlock, h: Tensor,
                   mode: str, n_seqs: int, n_heads: int, training: bool = False,
-                  rng: np.random.Generator | None = None
-                  ) -> tuple[Tensor, RoutingStats | None]:
-    attn_adapters = la.attn if la is not None else None
+                  rng: np.random.Generator | None = None) -> tuple[Tensor, RoutingStats]:
     x1 = layer_norm(h, lw.ln1_g, lw.ln1_b)
-    attn = attention_forward(lw, attn_adapters, x1, n_seqs, n_heads, training, rng)
+    attn = attention_forward(lw, la.attn, x1, n_seqs, n_heads, training, rng)
     z = add(attn, h)
     x2 = layer_norm(z, lw.ln2_g, lw.ln2_b)
-    if block is None:
-        f, st = dense_ffn_forward(lw.ffn, x2), None
-    else:
-        f, st = block.forward(x2, mode, training, rng)
+    f, st = block.forward(x2, mode, training, rng)
     return add(f, z), st
 
 
 class ToyModel:
-    """Frozen base + one adapter set (or none, for the dense reference)."""
+    """Frozen base + one adapter set."""
 
-    def __init__(self, config: ModelConfig, base: FrozenBase,
-                 adapters: AdapterSet | None):
+    def __init__(self, config: ModelConfig, base: FrozenBase, adapters: AdapterSet):
         self.config = config
         self.base = base
         self.adapters = adapters
-        self.dtype = base.dtype
-        self.blocks: list = []
-        for i in range(config.n_layers):
-            if adapters is None:
-                self.blocks.append(None)
-            else:
-                la = adapters.layers[i]
-                self.blocks.append(MixLoraBlock(la.router, base.layers[i].ffn, la.experts,
-                                                layer_index=i))
+        self.blocks = [MixLoraBlock(la.router, lw.ffn, la.experts, layer_index=i)
+                       for i, (lw, la) in enumerate(zip(base.layers, adapters.layers))]
 
     def hidden_states(self, tokens: np.ndarray, mode: str = "optimized",
                       training: bool = False) -> tuple[Tensor, list[RoutingStats]]:
@@ -315,17 +297,16 @@ class ToyModel:
         flat = tokens.reshape(-1)
         pos = np.tile(np.arange(seq_len), n_seqs)
         h = Tensor(self.base.tok_emb.data[flat] + self.base.pos_emb.data[pos])
-        rng = self.adapters.dropout_rng if self.adapters is not None else None
+        rng = self.adapters.dropout_rng
         stats: list[RoutingStats] = []
-        for i, (lw, block) in enumerate(zip(self.base.layers, self.blocks)):
-            la = self.adapters.layers[i] if self.adapters is not None else None
+        layers = zip(self.base.layers, self.adapters.layers, self.blocks)
+        for i, (lw, la, block) in enumerate(layers):
             with flop_labels(layer=i):
                 h, st = layer_forward(lw, la, block, h, mode, n_seqs,
                                       self.config.n_heads, training, rng)
             if not np.all(np.isfinite(h.data)):
                 raise NumericError(f"non-finite activations in layer {i}")
-            if st is not None:
-                stats.append(st)
+            stats.append(st)
         return h, stats
 
     def logits_at(self, tokens: np.ndarray, positions: np.ndarray,
@@ -348,16 +329,11 @@ def model_loss(model: ToyModel, batch: Batch, mode: str = "optimized",
     """Cross-entropy at the batch's target positions plus per-layer balance loss."""
     logits, stats = model.logits_at(batch.tokens, batch.positions, mode, training)
     task = cross_entropy(logits, batch.labels)
-    coef = model.adapters.aux_coef if model.adapters is not None else 0.0
-    aux_total: Tensor | None = None
-    for st in stats:
-        term = aux_loss(st, model.config.n_experts, coef)
-        aux_total = term if aux_total is None else add(aux_total, term)
-    if aux_total is None:
-        aux_total = Tensor(np.asarray(0.0, dtype=model.dtype))
-        total = task
-    else:
-        total = add(task, aux_total)
+    n_experts, coef = model.config.n_experts, model.config.aux_coef
+    aux_total = aux_loss(stats[0], n_experts, coef)
+    for st in stats[1:]:
+        aux_total = add(aux_total, aux_loss(st, n_experts, coef))
+    total = add(task, aux_total)
     for name, t in (("total", total), ("task", task), ("aux", aux_total)):
         if not np.isfinite(t.data):
             raise NumericError(f"non-finite {name} loss")

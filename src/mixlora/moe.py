@@ -59,7 +59,6 @@ from .numerics import (
     flop_labels,
     matmul,
     mul,
-    silu,
     softmax_lastdim,
     sum_all,
     sum_axis0,
@@ -104,10 +103,6 @@ class SharedFfn:
         self.w1 = w1
         self.w3 = w3
         self.w2 = w2
-
-    @property
-    def d_model(self) -> int:
-        return self.w1.d_in
 
     @property
     def d_ff(self) -> int:
@@ -319,11 +314,6 @@ def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
 
     tape._record(out, bwd)
     return out, stats
-
-
-def dense_ffn_forward(ffn: SharedFfn, h: Tensor) -> Tensor:
-    """Plain frozen SwiGLU output, no experts and no adapters."""
-    return ffn.w2.apply(mul(silu(ffn.w1.apply(h)), ffn.w3.apply(h)))
 
 
 def expert_load_std(stats: RoutingStats) -> float:

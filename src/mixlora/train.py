@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, NumericError
 from .model import Batch, ToyModel, build_model, model_loss
 from .moe import expert_load_report, expert_load_std
 from .numerics import Tape, backward
@@ -26,6 +26,19 @@ def task_suite(config: RunConfig) -> tuple[list[SyntheticTask], list[TaskData]]:
     return tasks, datas
 
 
+def check_batching(config: RunConfig, multitask: bool) -> None:
+    """Raise ``ConfigError`` unless ``train(config, multitask)`` can form its
+    batches: one task alone, or every task at least once per mixed batch."""
+    n_tasks = len(config.tasks)
+    if not multitask and n_tasks != 1:
+        raise ConfigError(
+            "single-task training needs exactly one task; pass multitask=True "
+            f"for the {n_tasks}-task suite"
+        )
+    if multitask and config.batch_size < n_tasks:
+        raise ConfigError(f"batch_size {config.batch_size} below task count {n_tasks}")
+
+
 def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
     """One forward/backward/update; only adapter-set parameters change.
 
@@ -33,8 +46,6 @@ def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
     the loss did not reach stay zero. One ``isfinite`` checks the whole buffer;
     only a failure looks up the offending tensor's name."""
     aset = model.adapters
-    if aset is None:
-        raise ContractError("train_step needs an adapter set")
     tape = Tape()
     with tape:
         out = model_loss(model, batch, mode, training=True)
@@ -61,12 +72,8 @@ def train(config: RunConfig, multitask: bool = False,
     {step, task_loss, aux_loss, total_loss, expert_load: [[F per expert] per layer]}.
     """
     config.validate()
+    check_batching(config, multitask)
     tasks, datas = task_suite(config)
-    if not multitask and len(tasks) != 1:
-        raise ConfigError(
-            "single-task training needs exactly one task; pass multitask=True "
-            f"for the {len(tasks)}-task suite"
-        )
     model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
     batch_rng = np.random.default_rng([config.seed, 6])
     metrics: list[dict] = []

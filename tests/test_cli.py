@@ -61,6 +61,21 @@ def test_train_to_unwritable_paths_exits_2(tmp_path, config_path, capsys):
     assert "error: cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes, flags, message", [
+    ({"tasks": ["copy", "reverse"]}, [], "single-task training needs exactly one task"),
+    ({"tasks": ["copy", "reverse", "shift", "parity"]}, ["--multitask"],
+     "batch_size 2 below task count 4"),
+], ids=["two-tasks-single", "batch-below-task-count"])
+def test_train_that_cannot_form_a_batch_exits_2_and_leaves_no_file(
+        tmp_path, changes, flags, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a step ran"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "vocab_size": 32, **changes}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt"), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_eval_and_inspect_routing_on_a_one_expert_checkpoint(ckpt, capsys):
     code, out = run(["eval", "--ckpt", ckpt, "--task", "copy"], capsys)
     assert code == 0
@@ -120,6 +135,17 @@ def test_sweep_to_a_missing_directory_exits_2_before_training(tmp_path, config_p
                  "--out", str(missing)]) == 2
     assert not missing.parent.exists()
     assert "error: cannot write sweep rows" in capsys.readouterr().err
+
+
+def test_sweep_with_an_invalid_point_exits_2_before_training(tmp_path, config_path,
+                                                             monkeypatch, capsys):
+    # d_model 8 admits ranks 2, 4 and 8 but not 16, so no point may train.
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a sweep point trained"))
+    rows_path = tmp_path / "rows.jsonl"
+    assert main(["sweep", "--config", config_path, "--axis", "rank",
+                 "--out", str(rows_path)]) == 2
+    assert "lora_rank 16 exceeds" in capsys.readouterr().err
+    assert not rows_path.exists()
 
 
 class FakePool:

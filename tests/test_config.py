@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixlora.bench import config_hash
 from mixlora.cli import main
@@ -162,7 +168,8 @@ def test_max_seq_len_below_the_tasks_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ('{"lora_alpha": 1e308, "steps": 3}', "lora_alpha 1e+308 outside"),
     ('{"aux_coef": 1e308, "steps": 1}', "aux_coef 1e+308 outside"),
-], ids=["lora_alpha", "aux_coef"])
+    ('{"lr": 1e5, "steps": 3}', "lr 100000.0 outside"),
+], ids=["lora_alpha", "aux_coef", "lr"])
 def test_overflowing_scale_is_a_config_error(text, message, tmp_path, capsys):
     with pytest.raises(ConfigError, match=re.escape(message)):
         RunConfig.from_json(text)
@@ -174,8 +181,71 @@ def test_overflowing_scale_is_a_config_error(text, message, tmp_path, capsys):
 
 
 def test_scale_bounds_are_inclusive():
-    RunConfig(lora_alpha=config_mod.MAX_LORA_ALPHA, aux_coef=config_mod.MAX_AUX_COEF).validate()
+    RunConfig(lora_alpha=config_mod.MAX_LORA_ALPHA, aux_coef=config_mod.MAX_AUX_COEF,
+              lr=config_mod.MAX_LR).validate()
     with pytest.raises(ConfigError, match="lora_alpha"):
         RunConfig(lora_alpha=config_mod.MAX_LORA_ALPHA * 2).validate()
     with pytest.raises(ConfigError, match="aux_coef"):
         RunConfig(aux_coef=config_mod.MAX_AUX_COEF * 2).validate()
+    with pytest.raises(ConfigError, match="lr"):
+        RunConfig(lr=config_mod.MAX_LR * 2).validate()
+
+
+# The config fuzz: tiny valid dims that drawn fields replace. Each field draws
+# from valid and boundary values (some just outside a bound); then at most one
+# field takes a hostile value: a wrong type, a huge finite float or infinity.
+FUZZ_BASE = {
+    "vocab_size": 16, "d_model": 8, "n_heads": 2, "d_ff": 8, "n_layers": 1,
+    "n_experts": 2, "top_k": 1, "lora_rank": 2, "max_seq_len": 16,
+    "steps": 1, "batch_size": 2, "seed": 0, "tasks": ["copy"],
+}
+HUGE_INT = 2**31  # above MAX_ELEMENTS in every size field, so never allocated
+FUZZ_FIELDS = {
+    "vocab_size": (16, 32, 10, HUGE_INT),
+    "d_model": (8, 16, 6, 0, HUGE_INT),
+    "n_heads": (1, 2, 8, 3, 0, HUGE_INT),
+    "d_ff": (1, 8, 16, 0, HUGE_INT),
+    "n_layers": (1, 2, 0, HUGE_INT),
+    "n_experts": (1, 2, 4, 0, HUGE_INT),
+    "top_k": (1, 2, 4, 0, HUGE_INT),
+    "lora_rank": (1, 2, 8, 9, 0, HUGE_INT),
+    "max_seq_len": (14, 16, 13, HUGE_INT),
+    "lora_alpha": (1e-300, 4.0, config_mod.MAX_LORA_ALPHA, config_mod.MAX_LORA_ALPHA * 2, 0.0),
+    "dropout_p": (0.0, 0.5, 0.9999999999999999, 1.0),
+    "aux_coef": (0.0, 0.01, config_mod.MAX_AUX_COEF, config_mod.MAX_AUX_COEF * 2),
+    "lr": (0.0, 5e-324, 1e-2, config_mod.MAX_LR, config_mod.MAX_LR * 2),
+    "steps": (0, 1, 2),  # no upper bound, so a large value would just run long
+    "batch_size": (1, 2, 4, 0, HUGE_INT),
+    "seed": (0, 7, 2**64),
+    "mode": ("vanilla", "optimized", "fast"),
+    "precision": ("f32", "f64", "f16"),
+    "tasks": (["copy"], ["copy", "reverse"], ["copy", "reverse", "shift", "parity"],
+              ["nope"], []),
+}
+HOSTILE = (None, True, "8", [], {}, ["copy", 1], -1, 1.5, 1e308, -1e308, float("inf"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(changes=st.fixed_dictionaries(
+           {}, optional={name: st.sampled_from(v) for name, v in FUZZ_FIELDS.items()}),
+       hostile=st.none() | st.tuples(st.sampled_from(sorted(FUZZ_FIELDS)),
+                                     st.sampled_from(HOSTILE)),
+       multitask=st.booleans())
+def test_fuzzed_config_trains_or_exits_2_leaving_nothing(changes, hostile, multitask):
+    """Any config JSON either trains (exit 0, writing the checkpoint and its
+    metrics) or is refused with exit 2 before any file is written. A warning
+    is an error under this suite's settings, so an overflow fails the test."""
+    config = {**FUZZ_BASE, **changes, **dict([hostile] if hostile else [])}
+    flags = ["--multitask"] if multitask else []
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "config.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(config, f)
+        out = os.path.join(root, "ckpt")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["train", "--config", path, "--out", out, *flags])
+        left = sorted(os.listdir(root))
+    assert code in (0, 2)
+    assert left == (["ckpt", "ckpt.metrics.jsonl", "config.json"] if code == 0
+                    else ["config.json"])

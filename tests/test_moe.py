@@ -11,7 +11,6 @@ from mixlora.moe import (
     RoutingStats,
     SharedFfn,
     aux_loss,
-    dense_ffn_forward,
     expert_load_report,
     expert_load_std,
     mixlora_forward,
@@ -199,11 +198,16 @@ def test_aux_loss_differentiable_through_probs(rng):
 # ---------------------------------------------------------------------------
 
 
+def dense_ffn(ffn, h):
+    """The plain frozen SwiGLU output, no experts and no adapters."""
+    return ffn.w2.apply(mul(silu(ffn.w1.apply(h)), ffn.w3.apply(h)))
+
+
 def test_vanilla_with_zero_adapters_is_plain_ffn(rng):
     block = make_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(12, 6)))
     out, _ = mixlora_forward(block, h, shared_base=False)
-    plain = dense_ffn_forward(block.ffn, h)
+    plain = dense_ffn(block.ffn, h)
     assert np.abs(out.data - plain.data).max() < 1e-12
 
 
@@ -301,7 +305,7 @@ def test_optimized_with_zero_adapters_is_plain_ffn(rng):
     block = make_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(9, 6)))
     out, _ = mixlora_forward(block, h, shared_base=True)
-    plain = dense_ffn_forward(block.ffn, h)
+    plain = dense_ffn(block.ffn, h)
     assert np.abs(out.data - plain.data).max() < 1e-12
 
 

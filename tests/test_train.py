@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mixlora.config import RunConfig
-from mixlora.errors import ContractError, NumericError
-from mixlora.model import Batch, FrozenBase, ToyModel
+from mixlora.errors import NumericError
+from mixlora.model import Batch
 from mixlora.multitask import MultiTaskBatch, MultiTaskEngine, multi_train_step
 from conftest import assert_flat_views
 
@@ -60,12 +60,6 @@ def test_multi_train_step_rejects_a_non_finite_gradient(monkeypatch, rng):
     with pytest.raises(NumericError, match="non-finite gradient"):
         multi_train_step(engine, batch)
     assert np.array_equal(engine.sets["b"].data, before)
-
-
-def test_train_step_needs_an_adapter_set(rng):
-    base = FrozenBase(CFG.model(), CFG.seed)
-    with pytest.raises(ContractError):
-        train_mod.train_step(ToyModel(CFG.model(), base, None), small_batch(rng))
 
 
 def test_train_records_one_entry_per_step():
