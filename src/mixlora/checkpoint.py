@@ -12,8 +12,9 @@ payload's dtype and length, so the file stores neither.
 Reading checks, in order, so bad input fails before any large read or
 allocation: magic and version; cfg_len against the file size, then the config;
 the file size against the size that config implies; the CRC; finite values.
-Only then does it build the model, refuse a base checksum mismatch and copy
-the payload into the adapter buffer. Every failure is a ``CheckpointError``.
+Loading then takes the base, refuses a base checksum mismatch, and only then
+builds the adapter set over a copy of the payload: nothing is drawn and
+nothing is overwritten. Every failure is a ``CheckpointError``.
 Saves are atomic (a temp file, then ``os.replace``), and load -> save
 round-trips byte for byte.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from .config import RunConfig, trainable_parameter_count
 from .errors import CheckpointError, ConfigError
-from .model import AdapterSet, ToyModel
+from .model import AdapterSet, ToyModel, resident_base
 from .model import build_model  # perfbench's tracer wraps checkpoint.build_model by name
 from .numerics import Tensor
 
@@ -102,8 +103,7 @@ def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, bytes, np.ndarray]:
         raise CheckpointError("checkpoint CRC mismatch: the file is corrupt")
     buffer = np.frombuffer(data, dtype, count, offset=body_at)
     if not np.isfinite(buffer).all():
-        aset = AdapterSet.create(config.model(), dtype=config.dtype)
-        aset.data[...] = buffer
+        aset = AdapterSet(config.model(), "main", 0, buffer.astype(config.dtype))
         name = next(name for name, t in aset.named_parameters()
                     if not np.isfinite(t.data).all())
         raise CheckpointError(f"{name}: non-finite values")
@@ -112,15 +112,18 @@ def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, bytes, np.ndarray]:
 
 def load_checkpoint(path: str) -> tuple[RunConfig, ToyModel]:
     """Take the process's resident base, or regenerate it from the seed;
-    refuse a base other than the saved one, and restore the adapter buffer
-    bit-exactly. The base checksum is recomputed on every load."""
+    refuse a base other than the saved one (its checksum is recomputed on
+    every load), and only then adopt a copy of the saved adapter buffer, so
+    the set is restored bit-exactly without drawing one to overwrite."""
     config, base_checksum, buffer = read_records(path)
-    model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
-    held = model.base.checksum()
+    model_config = config.model()
+    base = resident_base(model_config, config.seed, config.dtype)
+    held = base.checksum()
     if held != base_checksum:
         raise CheckpointError(
             f"frozen base checksum {held.hex()} from seed {config.seed} "
             f"does not match the saved {base_checksum.hex()}"
         )
-    model.adapters.data[...] = buffer
-    return config, model
+    adapters = AdapterSet(model_config, "main", config.seed, buffer.astype(config.dtype),
+                          config.lr)
+    return config, ToyModel(model_config, base, adapters)

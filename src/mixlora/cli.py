@@ -42,7 +42,6 @@ def _parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one adapter set and write a checkpoint")
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--mode", choices=MODES)
     t.add_argument("--multitask", action="store_true",
                    help="mix every configured task into each batch")
 
@@ -80,9 +79,6 @@ def _open_out(path: str, what: str):
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    if args.mode:
-        config.mode = args.mode
-    config.validate()
     check_batching(config, args.multitask)
     metrics_path = args.out + ".metrics.jsonl"
     with _open_out(metrics_path, "metrics") as log:

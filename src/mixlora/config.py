@@ -10,7 +10,8 @@ not an int, and floats must be finite. Round-tripping through
 adapter set, or whose largest training-step array, would exceed
 ``MAX_ELEMENTS`` is rejected, so no dimension or batch size reaches an
 allocation. ``lora_alpha``, ``aux_coef`` and ``lr`` are bounded below the
-values that overflow the optimizer state or the activations.
+values that overflow the optimizer state or the activations, and ``steps`` by
+``MAX_STEPS``, so no run goes on without end.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ MAX_AUX_COEF = 1.0
 # scale. In f32 at the default dims, lr 3 overflowed the activations within
 # 500 steps while lr 1 ran 2000 clean; the bound is 100x every lr in use (1e-2).
 MAX_LR = 1.0
+# A run never stops early and logs one metrics line per step; the bound is 200x
+# the default of 500 and about 770x the 130 steps of a benchmark call.
+MAX_STEPS = 100_000
 
 
 def _finite_number(value) -> bool:
@@ -148,8 +152,8 @@ class RunConfig(ModelConfig):
         super().validate()
         if not 0 <= self.lr <= MAX_LR:
             raise ConfigError(f"lr {self.lr} outside [0, {MAX_LR:g}]")
-        if self.steps < 0:
-            raise ConfigError("steps must be a non-negative integer")
+        if not 0 <= self.steps <= MAX_STEPS:
+            raise ConfigError(f"steps {self.steps} outside [0, {MAX_STEPS}]")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be a positive integer")
         size = step_activation_elements(self)

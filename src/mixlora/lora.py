@@ -18,8 +18,6 @@ import numpy as np
 from .errors import DimensionError
 from .numerics import Tensor, _accum, _count_matmul, _tape_for, add, dropout_mask, matmul
 
-INIT_STD = 0.02  # standard deviation of every trainable weight drawn at init
-
 
 class FrozenLinear:
     """Frozen weight W of shape [d_out, d_in]; apply() computes x @ W.T."""
@@ -63,22 +61,6 @@ class LoraAdapter:
         self.rank = rank
         self.alpha = float(alpha)
         self.dropout_p = float(dropout_p)
-
-    @classmethod
-    def create(
-        cls,
-        d_in: int,
-        d_out: int,
-        rank: int,
-        alpha: float,
-        dropout_p: float,
-        rng: np.random.Generator,
-        dtype=np.float64,
-    ) -> "LoraAdapter":
-        """A ~ N(0, INIT_STD^2), B = 0, so the initial delta is exactly zero."""
-        a = Tensor(rng.normal(0.0, INIT_STD, size=(rank, d_in)).astype(dtype), requires_grad=True)
-        b = Tensor(np.zeros((d_out, rank), dtype=dtype), requires_grad=True)
-        return cls(a, b, rank, alpha, dropout_p)
 
     @property
     def d_in(self) -> int:

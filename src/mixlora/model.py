@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig, trainable_parameter_count
-from .errors import DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError
 from .lora import FrozenLinear, LoraAdapter, adapted_forward
 from .moe import (
     ExpertTriple,
@@ -43,6 +43,7 @@ from .numerics import (
 from .optim import Adam
 
 INIT_STD = 0.02  # stand-in "pretrained" weight scale
+ADAPTER_INIT_STD = 0.02  # standard deviation of every A and router weight drawn at init
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -157,26 +158,52 @@ def _set_salt(set_id: str) -> int:
 class AdapterSet:
     """All trainable state of one logical model over the shared frozen base.
 
-    Two flat buffers, ``data`` and ``grad``, hold every trainable tensor in
-    ``named_parameters()`` order; each tensor's ``.data`` and ``.grad`` are
-    views into them, which nothing may rebind. Backward adds into the grad
-    views and ``optimizer.zero_grad`` clears the buffer after each step, so
-    a gradient the loss did not reach reads zero."""
+    The set is its flat buffer: the constructor adopts ``data`` and, in the
+    one pass that decides the layout, carves every A, B and router tensor's
+    ``.data`` and ``.grad`` from it and a zeroed ``grad``, in
+    ``named_parameters()`` order; nothing may rebind those views. Backward
+    adds into the grad views and ``optimizer.zero_grad`` clears the buffer
+    after each step, so a gradient the loss did not reach reads zero."""
 
-    def __init__(self, set_id: str, layers: list[LayerAdapters],
-                 dropout_rng: np.random.Generator, lr: float = 2e-4):
+    def __init__(self, config: ModelConfig, set_id: str, seed: int, data: np.ndarray,
+                 lr: float = 2e-4):
+        count = trainable_parameter_count(config)
+        if data.shape != (count,) or data.dtype not in (np.float32, np.float64):
+            raise ContractError(f"adapter buffer {data.dtype}{data.shape}, need float ({count},)")
         self.set_id = set_id
-        self.layers = layers
-        self.dropout_rng = dropout_rng
-        tensors = [t for _, t in self.named_parameters()]
-        self.data = np.zeros(sum(t.data.size for t in tensors), tensors[0].dtype)
-        self.grad = np.zeros(self.data.size, self.data.dtype)
+        self.data = data
+        # np.zeros leaves the pages untouched until backward writes them (serving
+        # never does); np.zeros_like writes every page at once.
+        self.grad = np.zeros(data.size, data.dtype)
+        self.dropout_rng = np.random.default_rng([int(seed), 2, _set_salt(set_id)])
+        self._named: list[tuple[str, Tensor]] = []
         off = 0
-        for t in tensors:
-            end = off + t.data.size
-            self.data[off:end] = t.data.ravel()
-            t.data, t.grad = (buf[off:end].reshape(t.shape) for buf in (self.data, self.grad))
+
+        def carve(name, shape):
+            nonlocal off
+            end = off + shape[0] * shape[1]
+            t = Tensor(data[off:end].reshape(shape), requires_grad=True)
+            t.grad = self.grad[off:end].reshape(shape)
+            self._named.append((name, t))
             off = end
+            return t
+
+        r, d, dff = config.lora_rank, config.d_model, config.d_ff
+
+        def adapter(name, d_in, d_out):
+            return LoraAdapter(carve(f"{name}.A", (r, d_in)), carve(f"{name}.B", (d_out, r)),
+                               r, config.lora_alpha, config.dropout_p)
+
+        self.layers = []
+        for i in range(config.n_layers):
+            p = f"set.layer{i}"
+            attn = {n: adapter(f"{p}.attn.{n}", d, d) for n in ("q", "k", "v", "o")}
+            triples = [ExpertTriple(w1=adapter(f"{p}.expert{k}.w1", d, dff),
+                                    w3=adapter(f"{p}.expert{k}.w3", d, dff),
+                                    w2=adapter(f"{p}.expert{k}.w2", dff, d))
+                       for k in range(config.n_experts)]
+            router = Router(carve(f"{p}.router", (config.n_experts, d)), config.top_k)
+            self.layers.append(LayerAdapters(attn, triples, router))
         self.optimizer = Adam(self.data, self.grad, lr)
 
     @classmethod
@@ -188,44 +215,18 @@ class AdapterSet:
         dtype=np.float64,
         lr: float = 2e-4,
     ) -> "AdapterSet":
+        """A fresh set: every A and router weight ~ N(0, ADAPTER_INIT_STD^2),
+        drawn in layout order, and B = 0, so every initial delta is exactly zero."""
         config.validate()
-        salt = _set_salt(set_id)
-        rng = np.random.default_rng([int(seed), 1, salt])
-        drop_rng = np.random.default_rng([int(seed), 2, salt])
-        d, dff = config.d_model, config.d_ff
-
-        def adapter(d_in, d_out):
-            return LoraAdapter.create(d_in, d_out, config.lora_rank, config.lora_alpha,
-                                      config.dropout_p, rng, dtype)
-
-        layers = []
-        for _ in range(config.n_layers):
-            attn = {name: adapter(d, d) for name in ("q", "k", "v", "o")}
-            triples = [ExpertTriple(w1=adapter(d, dff), w3=adapter(d, dff), w2=adapter(dff, d))
-                       for _ in range(config.n_experts)]
-            router = Router.create(config.n_experts, d, config.top_k, rng, dtype)
-            layers.append(LayerAdapters(attn, triples, router))
-        return cls(set_id, layers, drop_rng, lr)
+        aset = cls(config, set_id, seed, np.zeros(trainable_parameter_count(config), dtype), lr)
+        rng = np.random.default_rng([int(seed), 1, _set_salt(set_id)])
+        for name, t in aset._named:
+            if not name.endswith(".B"):
+                t.data[...] = rng.normal(0.0, ADAPTER_INIT_STD, size=t.shape)
+        return aset
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, la in enumerate(self.layers):
-            p = f"set.layer{i}"
-            for name in ("q", "k", "v", "o"):
-                ad = la.attn[name]
-                out += [(f"{p}.attn.{name}.A", ad.a), (f"{p}.attn.{name}.B", ad.b)]
-            for k, triple in enumerate(la.experts):
-                for proj in ("w1", "w3", "w2"):
-                    ad = getattr(triple, proj)
-                    out += [
-                        (f"{p}.expert{k}.{proj}.A", ad.a),
-                        (f"{p}.expert{k}.{proj}.B", ad.b),
-                    ]
-            out.append((f"{p}.router", la.router.wr))
-        return out
-
-    def param_bytes(self) -> int:
-        return self.data.nbytes
+        return list(self._named)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .lora import INIT_STD, FrozenLinear, LoraAdapter, lora_backward, lora_forward
+from .lora import FrozenLinear, LoraAdapter, lora_backward, lora_forward
 from .lora import lora_delta  # noqa: F401  (perfbench's tracer wraps moe.lora_delta by name)
 from .numerics import (
     Tensor,
@@ -83,13 +83,6 @@ class Router:
     @property
     def n_experts(self) -> int:
         return self.wr.shape[0]
-
-    @classmethod
-    def create(cls, n_experts: int, d_model: int, top_k: int,
-               rng: np.random.Generator, dtype=np.float64) -> "Router":
-        wr = Tensor(rng.normal(0.0, INIT_STD, size=(n_experts, d_model)).astype(dtype),
-                    requires_grad=True)
-        return cls(wr, top_k)
 
 
 class SharedFfn:

@@ -77,7 +77,7 @@ def multi_train_step(engine: MultiTaskEngine, batch: MultiTaskBatch,
 def memory_census(engine: MultiTaskEngine) -> dict:
     """Exact byte accounting: one frozen base + per set data, grad and moments."""
     sets = list(engine.sets.values())
-    per_param = [aset.param_bytes() for aset in sets]
+    per_param = [aset.data.nbytes for aset in sets]
     per_opt = [aset.optimizer.state_bytes() for aset in sets]
     per_set = [p + aset.grad.nbytes + o for p, aset, o in zip(per_param, sets, per_opt)]
     base = engine.base.nbytes()

@@ -25,6 +25,7 @@ from .moe import RoutingStats
 BOS = 1
 SEP = 2
 SYMBOL_BASE = 3
+EVAL_BATCH_SIZE = 256  # held-out sequences per forward in evaluate
 
 KINDS = ("copy", "reverse", "shift-by-k", "parity-classify")
 
@@ -199,8 +200,8 @@ def mixed_batch(tasks: list[SyntheticTask], datas: list[tuple[np.ndarray, np.nda
 
 
 def evaluate(model: ToyModel, task: SyntheticTask,
-             data: tuple[np.ndarray, np.ndarray], mode: str = "optimized",
-             batch_size: int = 256) -> tuple[float, list[RoutingStats]]:
+             data: tuple[np.ndarray, np.ndarray], mode: str = "optimized"
+             ) -> tuple[float, list[RoutingStats]]:
     """Accuracy over a dataset plus merged per-layer routing stats."""
     tokens, labels = data
     n = tokens.shape[0]
@@ -208,8 +209,8 @@ def evaluate(model: ToyModel, task: SyntheticTask,
     correct = 0
     total = 0
     batch_stats: list[list[RoutingStats]] = []
-    for start in range(0, n, batch_size):
-        rows = np.arange(start, min(start + batch_size, n))
+    for start in range(0, n, EVAL_BATCH_SIZE):
+        rows = np.arange(start, min(start + EVAL_BATCH_SIZE, n))
         batch = make_batch(task, tokens, labels, rows)
         logits, stats = model.logits_at(batch.tokens, batch.positions, mode,
                                         training=False)

@@ -102,6 +102,30 @@ def test_load_after_the_saver_is_gone_round_trips_bit_exactly(tmp_path):
         assert np.array_equal(restored[name].data, data), name
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("load_checkpoint built an adapter set it should not")
+
+
+def test_load_adopts_the_saved_buffer_without_drawing_a_set(tmp_path, monkeypatch):
+    model = build_model(TINY.model(), seed=TINY.seed, dtype=TINY.dtype, lr=TINY.lr)
+    model.adapters.data[:] = np.linspace(-1.0, 1.0, model.adapters.data.size)
+    path = tmp_path / "ckpt"
+    save_checkpoint(str(path), TINY, model)
+    monkeypatch.setattr(AdapterSet, "create", _refuse)
+    config, loaded = load_checkpoint(str(path))
+    assert config == TINY
+    assert_same_model(loaded, model)
+
+
+def test_base_checksum_is_refused_before_a_set_is_built(tmp_path, monkeypatch):
+    data = tiny_checkpoint(tmp_path / "full")
+    path = tmp_path / "bad"
+    path.write_bytes(resealed(data.replace(b'"seed": 3', b'"seed": 4', 1)))
+    monkeypatch.setattr(AdapterSet, "__init__", _refuse)
+    with pytest.raises(CheckpointError, match="frozen base checksum"):
+        load_checkpoint(str(path))
+
+
 def test_wrong_seed_exits_2_while_the_saved_seed_base_is_resident(tmp_path, capsys):
     model = build_model(TINY.model(), seed=TINY.seed, dtype=TINY.dtype, lr=TINY.lr)
     path = tmp_path / "ckpt"

@@ -221,3 +221,6 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["train", "--config", "x"]) == 2
     capsys.readouterr()
+    # train takes its mode from the config only.
+    assert main(["train", "--config", "x", "--out", "y", "--mode", "vanilla"]) == 2
+    assert "unrecognized arguments: --mode vanilla" in capsys.readouterr().err

@@ -169,7 +169,8 @@ def test_max_seq_len_below_the_tasks_is_a_config_error(tmp_path, capsys):
     ('{"lora_alpha": 1e308, "steps": 3}', "lora_alpha 1e+308 outside"),
     ('{"aux_coef": 1e308, "steps": 1}', "aux_coef 1e+308 outside"),
     ('{"lr": 1e5, "steps": 3}', "lr 100000.0 outside"),
-], ids=["lora_alpha", "aux_coef", "lr"])
+    ('{"steps": 18446744073709551616}', "steps 18446744073709551616 outside [0, 100000]"),
+], ids=["lora_alpha", "aux_coef", "lr", "steps"])
 def test_overflowing_scale_is_a_config_error(text, message, tmp_path, capsys):
     with pytest.raises(ConfigError, match=re.escape(message)):
         RunConfig.from_json(text)
@@ -182,13 +183,15 @@ def test_overflowing_scale_is_a_config_error(text, message, tmp_path, capsys):
 
 def test_scale_bounds_are_inclusive():
     RunConfig(lora_alpha=config_mod.MAX_LORA_ALPHA, aux_coef=config_mod.MAX_AUX_COEF,
-              lr=config_mod.MAX_LR).validate()
+              lr=config_mod.MAX_LR, steps=config_mod.MAX_STEPS).validate()
     with pytest.raises(ConfigError, match="lora_alpha"):
         RunConfig(lora_alpha=config_mod.MAX_LORA_ALPHA * 2).validate()
     with pytest.raises(ConfigError, match="aux_coef"):
         RunConfig(aux_coef=config_mod.MAX_AUX_COEF * 2).validate()
     with pytest.raises(ConfigError, match="lr"):
         RunConfig(lr=config_mod.MAX_LR * 2).validate()
+    with pytest.raises(ConfigError, match="steps"):
+        RunConfig(steps=config_mod.MAX_STEPS + 1).validate()
 
 
 # The config fuzz: tiny valid dims that drawn fields replace. Each field draws
@@ -214,7 +217,7 @@ FUZZ_FIELDS = {
     "dropout_p": (0.0, 0.5, 0.9999999999999999, 1.0),
     "aux_coef": (0.0, 0.01, config_mod.MAX_AUX_COEF, config_mod.MAX_AUX_COEF * 2),
     "lr": (0.0, 5e-324, 1e-2, config_mod.MAX_LR, config_mod.MAX_LR * 2),
-    "steps": (0, 1, 2),  # no upper bound, so a large value would just run long
+    "steps": (0, 1, 2, config_mod.MAX_STEPS + 1, HUGE_INT),
     "batch_size": (1, 2, 4, 0, HUGE_INT),
     "seed": (0, 7, 2**64),
     "mode": ("vanilla", "optimized", "fast"),

@@ -21,7 +21,7 @@ def make_adapter(rng, d_in=6, d_out=5, rank=2, alpha=4.0, zero_b=False, dropout_
 
 
 def test_fresh_adapter_delta_is_exactly_zero(rng):
-    ad = LoraAdapter.create(8, 8, 3, 16.0, 0.05, rng)
+    ad = make_adapter(rng, d_in=8, d_out=8, rank=3, alpha=16.0, zero_b=True, dropout_p=0.05)
     x = Tensor(rng.normal(size=(4, 8)))
     assert np.array_equal(lora_delta(ad, x).data, np.zeros((4, 8)))
 
@@ -85,7 +85,7 @@ def test_merged_weight_cases(rng):
 
 def test_rank_bound_enforced(rng):
     with pytest.raises(DimensionError):
-        LoraAdapter.create(4, 3, 4, 8.0, 0.0, rng)
+        make_adapter(rng, d_in=4, d_out=3, rank=4)
 
 
 def test_shape_mismatch_errors(rng):

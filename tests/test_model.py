@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mixlora.config import frozen_parameter_count
-from mixlora.errors import ConfigError, DimensionError
+from mixlora.errors import ConfigError, ContractError, DimensionError
 from mixlora.model import (
+    AdapterSet,
     Batch,
     FrozenBase,
     ModelConfig,
@@ -260,6 +261,18 @@ def test_adapter_tensors_view_the_set_buffers(dtype):
     assert aset.data.dtype == aset.grad.dtype == dtype
     assert_flat_views(aset)
     assert not aset.grad.any()
+
+
+def test_adapter_set_adopts_its_buffer():
+    buf = np.arange(trainable_parameter_count(SMALL), dtype=np.float32)
+    aset = AdapterSet(SMALL, "task0", 3, buf)
+    assert aset.data is buf
+    assert_flat_views(aset)
+    assert aset.grad.dtype == np.float32 and not aset.grad.any()
+    for wrong in (buf[:-1], np.zeros(buf.size + 1, np.float32), buf.reshape(1, -1),
+                  np.arange(buf.size)):
+        with pytest.raises(ContractError, match="adapter buffer"):
+            AdapterSet(SMALL, "task0", 3, wrong)
 
 
 def test_unreached_expert_gradient_reads_zero(rng):
