@@ -27,6 +27,10 @@ from .moe import MODES, MixLoraBlock, SharedFfn
 from .numerics import Tape, Tensor, backward, set_flop_hook, sum_all
 
 BASE, LORA, ROUTER = "base", "lora", "router"
+# Bound on warmup_iters and on timed_iters: 50x the default of 20 timed
+# iterations. A block call at 512 tokens took ~3.5 ms at the default dims and
+# ~45 ms at d512, so the longest run of 2 modes x 2 phases is ~30 s and ~6 min.
+MAX_ITERS = 1000
 
 
 class FlopLedger:
@@ -153,6 +157,7 @@ def measure_latency(config: ModelConfig, mode: str, phase: str,
     backward  - backward sweep only (forward re-recorded outside the timer)
     inference - forward with no recording
     """
+    _check_iters(warmup_iters, timed_iters)
     return _time_modes(config, [mode], phase, warmup_iters, timed_iters,
                        tokens, seed)[mode]
 
@@ -164,10 +169,9 @@ def _time_modes(config: ModelConfig, modes: list[str], phase: str,
 
     Each round times one iteration of every mode and the mode that goes first
     alternates between rounds, so a host that slows down mid-run slows every
-    mode alike instead of whichever ran last.
+    mode alike instead of whichever ran last. Callers check the iteration
+    counts (``_check_iters``).
     """
-    if timed_iters < 1:
-        raise ContractError("timed_iters must be >= 1")
     if phase not in ("forward", "backward", "inference"):
         raise ContractError(f"unknown phase {phase!r}")
     block, aset = make_block(config, seed=seed, dtype=np.float32)
@@ -215,6 +219,12 @@ def _time_modes(config: ModelConfig, modes: list[str], phase: str,
     return reports
 
 
+def _check_iters(warmup_iters: int, timed_iters: int) -> None:
+    for name, n, low in (("warmup_iters", warmup_iters, 0), ("timed_iters", timed_iters, 1)):
+        if not low <= n <= MAX_ITERS:
+            raise ContractError(f"{name} must be in [{low}, {MAX_ITERS}], got {n}")
+
+
 def verify_mode_equivalence(config: ModelConfig, tokens: int = 256,
                             seed: int = 0, tol: float = 1e-4) -> float:
     """Max-abs output difference between the two paths at float32."""
@@ -260,12 +270,12 @@ def run_bench(config: ModelConfig, modes: list[str], models: int = 1,
         (not modes or unknown, f"modes must be among {MODES}, got {modes}"),
         (tokens < 1, f"tokens must be >= 1, got {tokens}"),
         (models < 1, f"models must be >= 1, got {models}"),
-        (warmup_iters < 0, f"warmup_iters must be >= 0, got {warmup_iters}"),
         (widest > MAX_ELEMENTS, f"tokens {tokens} need {widest} elements, above {MAX_ELEMENTS}"),
         (census > MAX_ELEMENTS, f"models {models} need {census} elements, above {MAX_ELEMENTS}"),
     ):
         if bad:
             raise ContractError(problem)
+    _check_iters(warmup_iters, timed_iters)
     verify_mode_equivalence(config, tokens=min(tokens, 256), seed=seed)
     flops = {m: count_flops(config, tokens, m).by_source() for m in modes}
     result: dict = {

@@ -2,7 +2,7 @@
 
 Layout, version 2 (integers little-endian):
     b"MXLR", u32 version 2, u64 cfg_len, then cfg_len bytes of config JSON
-    4 bytes   ``FrozenBase.checksum()`` of the saving model's frozen base
+    4 bytes   ``FrozenBase.crc`` of the saving model's frozen base
     payload   ``AdapterSet.data``, little-endian, in the config's precision
     u32       CRC32 of every byte before it
 
@@ -12,9 +12,12 @@ payload's dtype and length, so the file stores neither.
 Reading checks, in order, so bad input fails before any large read or
 allocation: magic and version; cfg_len against the file size, then the config;
 the file size against the size that config implies; the CRC; finite values.
-Loading then takes the base, refuses a base checksum mismatch, and only then
-builds the adapter set over a copy of the payload: nothing is drawn and
-nothing is overwritten. Every failure is a ``CheckpointError``.
+The payload is read straight into the buffer the set adopts, so it is copied
+once. Loading then takes the base, refuses a base checksum mismatch, and only
+then builds the adapter set over that buffer: nothing is drawn and nothing is
+overwritten. The base checksum is computed once per base (``FrozenBase.crc``)
+and kept, so no save and no load onto a resident base hashes the base again.
+Every failure is a ``CheckpointError``.
 Saves are atomic (a temp file, then ``os.replace``), and load -> save
 round-trips byte for byte.
 """
@@ -31,7 +34,7 @@ import numpy as np
 
 from .config import RunConfig, trainable_parameter_count
 from .errors import CheckpointError, ConfigError
-from .model import AdapterSet, ToyModel, resident_base
+from .model import AdapterSet, FrozenBase, ToyModel, resident_base
 from .model import build_model  # perfbench's tracer wraps checkpoint.build_model by name
 from .numerics import Tensor
 
@@ -46,7 +49,7 @@ def named_model_tensors(model: ToyModel) -> list[tuple[str, Tensor]]:
 
 def save_checkpoint(path: str, config: RunConfig, model: ToyModel) -> None:
     cfg = config.to_json().encode("utf-8")
-    head = MAGIC + struct.pack("<IQ", VERSION, len(cfg)) + cfg + model.base.checksum()
+    head = MAGIC + struct.pack("<IQ", VERSION, len(cfg)) + cfg + model.base.crc
     data = model.adapters.data
     payload = data.astype(data.dtype.newbyteorder("<"), copy=False)
     tmp = path + ".tmp"
@@ -98,32 +101,43 @@ def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, bytes, np.ndarray]:
     if size != expected:
         raise CheckpointError(f"checkpoint holds {size} bytes; its config implies {expected}")
     f.seek(0)
-    data = f.read(size)
-    if zlib.crc32(memoryview(data)[:-4]) != struct.unpack("<I", data[-4:])[0]:
+    head = f.read(body_at)
+    buffer = np.empty(count, dtype)
+    got = f.readinto(buffer)
+    stored = f.read(4)
+    if got != buffer.nbytes or len(stored) != 4:  # fewer bytes than the size said
+        raise CheckpointError("truncated checkpoint while reading its payload")
+    if zlib.crc32(buffer, zlib.crc32(head)) != struct.unpack("<I", stored)[0]:
         raise CheckpointError("checkpoint CRC mismatch: the file is corrupt")
-    buffer = np.frombuffer(data, dtype, count, offset=body_at)
     if not np.isfinite(buffer).all():
         aset = AdapterSet(config.model(), "main", 0, buffer.astype(config.dtype))
         name = next(name for name, t in aset.named_parameters()
                     if not np.isfinite(t.data).all())
         raise CheckpointError(f"{name}: non-finite values")
-    return config, data[body_at - 4:body_at], buffer
+    return config, head[-4:], buffer
+
+
+def adopt_set(base: FrozenBase, records: tuple[RunConfig, bytes, np.ndarray],
+              set_id: str, lr: float) -> AdapterSet:
+    """The saved adapter set over ``base``, from ``read_records``' output:
+    refuse a base other than the saved one (``base.crc``, computed once per
+    base), and only then adopt the read buffer itself, so the set is restored
+    bit-exactly without drawing one to overwrite."""
+    config, base_checksum, buffer = records
+    if base.crc != base_checksum:
+        raise CheckpointError(
+            f"frozen base checksum {base.crc.hex()} from seed {config.seed} "
+            f"does not match the saved {base_checksum.hex()}"
+        )
+    return AdapterSet(config.model(), set_id, config.seed,
+                      buffer.astype(config.dtype, copy=False), lr)
 
 
 def load_checkpoint(path: str) -> tuple[RunConfig, ToyModel]:
-    """Take the process's resident base, or regenerate it from the seed;
-    refuse a base other than the saved one (its checksum is recomputed on
-    every load), and only then adopt a copy of the saved adapter buffer, so
-    the set is restored bit-exactly without drawing one to overwrite."""
-    config, base_checksum, buffer = read_records(path)
+    """Take the process's resident base, or regenerate it from the seed, and
+    adopt the saved set over it (``adopt_set``)."""
+    records = read_records(path)
+    config = records[0]
     model_config = config.model()
     base = resident_base(model_config, config.seed, config.dtype)
-    held = base.checksum()
-    if held != base_checksum:
-        raise CheckpointError(
-            f"frozen base checksum {held.hex()} from seed {config.seed} "
-            f"does not match the saved {base_checksum.hex()}"
-        )
-    adapters = AdapterSet(model_config, "main", config.seed, buffer.astype(config.dtype),
-                          config.lr)
-    return config, ToyModel(model_config, base, adapters)
+    return config, ToyModel(model_config, base, adopt_set(base, records, "main", config.lr))

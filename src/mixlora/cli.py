@@ -98,10 +98,10 @@ def cmd_train(args) -> int:
 
 def _task_report(args) -> dict:
     """``evaluate_tasks``'s entry for ``--task`` on the ``--ckpt`` model."""
-    config, model = load_checkpoint(args.ckpt)
     registry = default_tasks()
     if args.task not in registry:
         raise ConfigError(f"unknown task {args.task!r}; known: {sorted(registry)}")
+    config, model = load_checkpoint(args.ckpt)
     if config.vocab_size < required_vocab([registry[args.task]]):
         raise ConfigError(
             f"checkpoint vocab_size {config.vocab_size} cannot encode task "

@@ -14,6 +14,7 @@ constant ``aux_coef`` per layer (up to rounding). Residual structure per layer:
 
 from __future__ import annotations
 
+import functools
 import weakref
 import zlib
 from dataclasses import dataclass, field
@@ -76,6 +77,8 @@ class LayerWeights:
 class FrozenBase:
     """All frozen storage of one model, drawn from the seed; every array is
     read-only, so one base can be shared by any number of models and engines.
+    Its attributes must not be rebound once ``crc`` is read, or the kept CRC
+    describes another base.
 
     The constructor always draws a new base; ``resident_base`` shares one."""
 
@@ -122,6 +125,12 @@ class FrozenBase:
         for name, t in self.named_tensors():
             crc = zlib.crc32(t.data, zlib.crc32(name.encode(), crc))
         return crc.to_bytes(4, "little")
+
+    @functools.cached_property
+    def crc(self) -> bytes:
+        """``checksum()``, computed on first read and then kept: the arrays are
+        read-only. Lazy, because a base drawn only to serve is never hashed."""
+        return self.checksum()
 
 
 # Every live base, keyed by all that FrozenBase.__init__ reads. An entry lasts

@@ -6,7 +6,8 @@ same base share it. Every adapter set is an independent logical model with its
 own optimizer. A multi-task batch packs one slice per set, processed
 task-major: slice t flows through set t only, so results and gradients are
 identical to standalone runs. Training runs ``train.train_step`` once per
-slice.
+slice. ``load_set`` adds a saved set over the engine's base, moving only the
+adapter bytes: the base is never rebuilt and, once hashed, never hashed again.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .checkpoint import adopt_set, read_records
+from .errors import CheckpointError, ContractError
 from .model import AdapterSet, Batch, ModelConfig, ToyModel, resident_base
 from .train import train_step
 
@@ -46,9 +48,29 @@ class MultiTaskEngine:
     def add_set(self, set_id: str) -> AdapterSet:
         if set_id in self.sets:
             raise ContractError(f"duplicate adapter-set id {set_id!r}")
-        aset = AdapterSet.create(self.config, set_id, self.seed, self.dtype, self.lr)
-        self.sets[set_id] = aset
-        self._models[set_id] = ToyModel(self.config, self.base, aset)
+        return self._register(AdapterSet.create(self.config, set_id, self.seed, self.dtype,
+                                                self.lr))
+
+    def load_set(self, set_id: str, path: str) -> AdapterSet:
+        """The set saved at ``path``, added under ``set_id`` with the engine's
+        ``lr``. The file's model fields, seed and precision must be the
+        engine's, and its base checksum the engine base's ``crc``; a taken id
+        or any mismatch is a ``CheckpointError``."""
+        if set_id in self.sets:
+            raise CheckpointError(f"duplicate adapter-set id {set_id!r}")
+        records = read_records(path)
+        config = records[0]
+        for what, saved, held in (("model config", config.model(), self.config),
+                                  ("seed", config.seed, self.seed),
+                                  ("precision", np.dtype(config.dtype), self.dtype)):
+            if saved != held:
+                raise CheckpointError(f"checkpoint {path} {what} {saved} does not match "
+                                      f"the engine's {held}")
+        return self._register(adopt_set(self.base, records, set_id, self.lr))
+
+    def _register(self, aset: AdapterSet) -> AdapterSet:
+        self.sets[aset.set_id] = aset
+        self._models[aset.set_id] = ToyModel(self.config, self.base, aset)
         return aset
 
     def model(self, set_id: str) -> ToyModel:

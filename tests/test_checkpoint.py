@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import gc
+import io
 import struct
 import tracemalloc
 import weakref
@@ -312,3 +313,45 @@ def test_non_finite_records_exit_2(tmp_path, capsys, record, value):
             assert "frozen base checksum" in err
         else:
             assert f"{record}: non-finite" in err
+
+
+def test_base_crc_is_the_checksum_of_a_cold_and_a_resident_base():
+    cold = FrozenBase(TINY.model(), TINY.seed, TINY.dtype)
+    assert cold.crc == cold.checksum()
+    model, _ = train(TINY)
+    assert model.base is resident_base(TINY.model(), TINY.seed, TINY.dtype)
+    assert model.base.crc == model.base.checksum()
+
+
+def _no_rehash(self):
+    raise AssertionError("the base was hashed again")
+
+
+def test_saves_and_resident_loads_hash_the_base_once(tmp_path, monkeypatch):
+    model, _ = train(TINY)
+    first = tmp_path / "first"
+    save_checkpoint(str(first), TINY, model)
+    monkeypatch.setattr(FrozenBase, "checksum", _no_rehash)
+    second = tmp_path / "second"
+    save_checkpoint(str(second), TINY, model)
+    assert second.read_bytes() == first.read_bytes()
+    config, loaded = load_checkpoint(str(second))
+    assert config == TINY
+    assert loaded.base is model.base
+    assert_same_model(loaded, model)
+
+
+@pytest.mark.parametrize("cut", [2, 10])
+def test_a_file_shorter_than_its_size_is_truncated(tmp_path, cut):
+    data = tiny_checkpoint(tmp_path / "full")
+    with pytest.raises(CheckpointError, match="truncated"):
+        checkpoint._parse(io.BytesIO(data[:-cut]), len(data))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_read_buffer_is_owned_aligned_and_of_the_file_dtype(tmp_path, precision):
+    config = dataclasses.replace(TINY, precision=precision)
+    tiny_checkpoint(tmp_path / "ckpt", config)
+    _, _, buffer = read_records(str(tmp_path / "ckpt"))
+    assert buffer.flags.owndata and buffer.flags.aligned and buffer.flags.writeable
+    assert buffer.dtype == np.dtype(config.dtype).newbyteorder("<")

@@ -202,6 +202,32 @@ def test_bench_bad_arguments_exit_2_before_allocating(config_path, monkeypatch,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["--timed-iters", "0"],
+    ["--timed-iters", str(bench.MAX_ITERS + 1)],
+    ["--warmup-iters", str(10**12)],
+])
+def test_bench_iteration_counts_exit_2_before_any_work(config_path, monkeypatch,
+                                                        capsys, args):
+    def refuse(*a, **k):
+        pytest.fail("bench ran before checking its iteration counts")
+
+    monkeypatch.setattr(bench, "verify_mode_equivalence", refuse)
+    assert main(["bench", "--config", config_path] + args) == 2
+    assert "_iters must be in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect-routing"])
+def test_unknown_task_exits_2_before_the_checkpoint_is_read(tmp_path, monkeypatch,
+                                                            capsys, command):
+    def refuse(path):
+        pytest.fail("the checkpoint was read before the task was checked")
+
+    monkeypatch.setattr(cli, "load_checkpoint", refuse)
+    assert main([command, "--ckpt", str(tmp_path / "ckpt"), "--task", "nosuch"]) == 2
+    assert "unknown task 'nosuch'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["eval", "inspect-routing"])
 def test_bad_checkpoints_and_tasks_exit_2(tmp_path, ckpt, command, capsys):
     with open(ckpt, "rb") as f:

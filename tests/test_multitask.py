@@ -1,7 +1,13 @@
+import dataclasses
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from mixlora.errors import ContractError
+from mixlora.checkpoint import save_checkpoint
+from mixlora.config import RunConfig
+from mixlora.errors import CheckpointError, ContractError
 from mixlora.model import (
     AdapterSet,
     Batch,
@@ -199,3 +205,63 @@ def test_default_config_sharing_ratio_below_three_quarters():
     assert census2["base_bytes"] > census2["per_set_bytes"][0]  # base dominates
     ratio = census2["total"] / (2 * total1)
     assert ratio < 0.75, f"ratio {ratio:.3f}"
+
+
+# ---------------------------------------------------------------------------
+# loading saved sets
+# ---------------------------------------------------------------------------
+
+SAVED = RunConfig(**dataclasses.asdict(CFG), seed=42, precision="f64", lr=1e-2)
+
+
+@pytest.fixture
+def saved(tmp_path, rng):
+    """An engine, one randomized set of it, and that set saved to a file."""
+    engine = make_engine(n_sets=1, seed=SAVED.seed)
+    randomize(engine.sets["task0"], rng)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(path, SAVED, engine.model("task0"))
+    return engine, path
+
+
+def test_loaded_set_serves_the_saved_logits_over_the_same_base(saved, rng, monkeypatch):
+    engine, path = saved
+    base_bytes = memory_census(engine)["base_bytes"]
+    monkeypatch.setattr(FrozenBase, "checksum", lambda self: pytest.fail("base hashed again"))
+    aset = engine.load_set("loaded", path)
+    assert engine.sets["loaded"] is aset
+    assert engine.model("loaded").base is engine.base
+    assert memory_census(engine)["base_bytes"] == base_bytes
+    assert np.array_equal(aset.data, engine.sets["task0"].data)
+    batch = batch_for(rng, CFG)
+    out = multi_forward(engine, MultiTaskBatch(["task0", "loaded"], [batch, batch]))
+    assert np.array_equal(out["loaded"][0].data, out["task0"][0].data)
+
+
+@pytest.mark.parametrize("engine_args, message", [
+    (dict(config=CFG, seed=43), "seed"),
+    (dict(config=dataclasses.replace(CFG, d_model=8), seed=42), "model config"),
+    (dict(config=CFG, seed=42, dtype=np.float32), "precision"),
+])
+def test_load_set_refuses_another_engine(saved, engine_args, message):
+    _, path = saved
+    engine = MultiTaskEngine(**engine_args)
+    with pytest.raises(CheckpointError, match=message):
+        engine.load_set("loaded", path)
+    assert engine.sets == {}
+
+
+def test_load_set_refuses_a_taken_id_and_another_base(saved, tmp_path):
+    engine, path = saved
+    with pytest.raises(CheckpointError, match="duplicate"):
+        engine.load_set("task0", path)
+    with open(path, "rb") as f:
+        data = bytearray(f.read())
+    body_at = len(data) - 4 - engine.sets["task0"].data.nbytes
+    data[body_at - 4] ^= 1  # the stored base checksum, resealed below
+    data[-4:] = struct.pack("<I", zlib.crc32(data[:-4]))
+    other = tmp_path / "other"
+    other.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="frozen base checksum"):
+        engine.load_set("loaded", str(other))
+    assert list(engine.sets) == ["task0"]
