@@ -1,14 +1,6 @@
 """Sparse mixture of LoRA experts over a shared frozen FFN, desk scale."""
 
-from .bench import (
-    FlopLedger,
-    LatencyReport,
-    base_flop_ratio,
-    compare_report,
-    count_flops,
-    measure_latency,
-    run_bench,
-)
+from .bench import FlopLedger, base_flop_ratio, count_flops, run_bench
 from .config import RunConfig, load_config
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (

@@ -8,6 +8,19 @@ and ``inspect-routing`` prints its ``records``: one record per (layer, expert),
 {task, layer, expert_id, F, P, std}, where F is the share of held-out tokens
 whose argmax expert it is, P its mean router probability and std the
 layer's spread of F.
+
+``bench`` runs ``train.train_step`` on one mixed batch and a serve call
+(``multitask.multi_forward`` over one adapter set per configured task), each in
+both modes, in float32 at the config's dimensions, whatever its precision. It
+prints one JSON object {config_hash, host, precision, timed_iters,
+base_flop_ratio, ops, memory}. ``host`` holds the numpy version, the CPU count
+and the BLAS thread variables. ``ops`` maps "train_step" and "serve" to
+{tokens, max_abs_logit_diff, vanilla, optimized, ratios, median_ratio}; each mode
+holds {median_ms, tokens_per_s, block_flops}, where block_flops is the expert
+blocks' forward multiply-adds per source, and ratios holds the optimized/vanilla
+time of each round. ``memory`` is ``multitask.memory_census`` of the serve
+engine. The timings (median_ms, tokens_per_s, ratios, median_ratio) are the only
+fields that differ between runs on one host.
 """
 
 from __future__ import annotations
@@ -25,7 +38,6 @@ from .bench import run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .moe import MODES
 from .tasks import default_tasks, required_vocab
 from .train import check_batching, evaluate_tasks, train
 
@@ -49,12 +61,8 @@ def _parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True)
     e.add_argument("--task", required=True)
 
-    b = sub.add_parser("bench", help="flop ledger, latency, and memory comparison")
+    b = sub.add_parser("bench", help="time train_step and serve calls in both modes")
     b.add_argument("--config", required=True)
-    b.add_argument("--modes", default=",".join(MODES))
-    b.add_argument("--models", type=int, default=1)
-    b.add_argument("--tokens", type=int, default=512)
-    b.add_argument("--warmup-iters", type=int, default=3)
     b.add_argument("--timed-iters", type=int, default=20)
 
     s = sub.add_parser("sweep", help="train one model per axis point")
@@ -116,12 +124,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = load_config(args.config)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    result = run_bench(config.model(), modes, models=args.models,
-                       tokens=args.tokens, warmup_iters=args.warmup_iters,
-                       timed_iters=args.timed_iters, seed=config.seed)
-    print(json.dumps(result))
+    print(json.dumps(run_bench(load_config(args.config), args.timed_iters)))
     return 0
 
 

@@ -2,7 +2,7 @@
 
 ``ModelConfig`` holds the model dimensions and adapter hyper-parameters.
 ``RunConfig`` extends it with the training fields and the task list;
-``RunConfig.model()`` returns the plain ``ModelConfig`` part. Config files are
+``model()`` returns the plain ``ModelConfig`` part of either. Config files are
 flat JSON objects of ``RunConfig`` fields. Unknown keys are rejected before any
 allocation, and every value is checked against its declared type: a bool is
 not an int, and floats must be finite. Round-tripping through
@@ -11,7 +11,8 @@ adapter set, or whose largest training-step array, would exceed
 ``MAX_ELEMENTS`` is rejected, so no dimension or batch size reaches an
 allocation. ``lora_alpha``, ``aux_coef`` and ``lr`` are bounded below the
 values that overflow the optimizer state or the activations, and ``steps`` by
-``MAX_STEPS``, so no run goes on without end.
+``MAX_STEPS``, so no run goes on without end. ``load_config`` reads at most
+``MAX_CONFIG_BYTES`` bytes, so a huge file or a device never fills memory.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ MAX_LR = 1.0
 # A run never stops early and logs one metrics line per step; the bound is 200x
 # the default of 500 and about 770x the 130 steps of a benchmark call.
 MAX_STEPS = 100_000
+# A config file sets at most 19 fields; the default one is ~400 bytes. 64 KiB
+# leaves room for any whitespace or key order while refusing a large file or a
+# device such as /dev/zero before it fills memory.
+MAX_CONFIG_BYTES = 64 * 1024
 
 
 def _finite_number(value) -> bool:
@@ -111,6 +116,10 @@ class ModelConfig:
                 f"above the limit of {MAX_ELEMENTS}"
             )
         return self
+
+    def model(self) -> "ModelConfig":
+        """The plain ``ModelConfig`` fields of this config, as a ``ModelConfig``."""
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
 
 def frozen_parameter_count(config: ModelConfig) -> int:
@@ -186,9 +195,6 @@ class RunConfig(ModelConfig):
             raise ConfigError(f"max_seq_len {self.max_seq_len} below task seq_len {seq_len}")
         return self
 
-    def model(self) -> ModelConfig:
-        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
-
     @property
     def dtype(self):
         return PRECISIONS[self.precision]
@@ -225,8 +231,14 @@ class RunConfig(ModelConfig):
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            raw = f.read(MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if len(raw) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config {path} is larger than {MAX_CONFIG_BYTES} bytes")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     return RunConfig.from_json(text)

@@ -37,11 +37,11 @@ class MultiTaskBatch:
 class MultiTaskEngine:
     def __init__(self, config: ModelConfig, seed: int, dtype=np.float64,
                  lr: float = 2e-4):
-        self.config = config
+        self.config = config.model()  # a RunConfig's run fields never match a saved set's
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.lr = lr
-        self.base = resident_base(config, seed, dtype)
+        self.base = resident_base(self.config, seed, dtype)
         self.sets: dict[str, AdapterSet] = {}
         self._models: dict[str, ToyModel] = {}
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ import pytest
 from mixlora.bench import (
     FlopLedger,
     base_flop_ratio,
-    compare_report,
+    config_hash,
     count_flops,
-    make_block,
-    measure_latency,
     run_bench,
     verify_mode_equivalence,
 )
+from mixlora.config import RunConfig, load_config
 from mixlora.errors import ContractError
-from mixlora.model import ModelConfig
+from mixlora.model import ModelConfig, build_model
 from mixlora.numerics import Tensor
+from mixlora.train import check_batching
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CFG = ModelConfig(
     vocab_size=64, d_model=64, n_heads=4, d_ff=128, n_layers=1, n_experts=8,
@@ -25,7 +28,7 @@ CFG = ModelConfig(
 
 
 def instrumented_counts(config, tokens, mode, seed=0):
-    block, _ = make_block(config, seed=seed, dtype=np.float64)
+    block = build_model(config, seed, np.float64).blocks[0]
     rng = np.random.default_rng(seed)
     h = Tensor(rng.normal(size=(tokens, config.d_model)))
     ledger = FlopLedger()
@@ -85,60 +88,82 @@ def test_lora_and_router_counts_identical_across_modes():
     assert mv.total(source="router") == mo.total(source="router")
 
 
+def model_logits(seed=3):
+    """Logits of a CFG model with random adapters, in float32, per mode."""
+    model = build_model(CFG, seed, np.float32)
+    rng = np.random.default_rng(seed)
+    model.adapters.data[...] = rng.normal(0.0, 0.02, size=model.adapters.data.shape)
+    tokens = rng.integers(0, CFG.vocab_size, size=(2, 64))
+    positions = np.arange(tokens.size)
+    return lambda mode: model.logits_at(tokens, positions, mode)[0].data
+
+
 def test_mode_equivalence_inside_bench_harness():
-    diff = verify_mode_equivalence(CFG, tokens=128, seed=3)
+    diff = verify_mode_equivalence(model_logits())
     assert diff < 1e-4
 
 
-def test_measure_latency_report_fields():
-    rep = measure_latency(CFG, "optimized", "forward", warmup_iters=1,
-                          timed_iters=4, tokens=64)
-    assert rep.tokens == 64
-    assert len(rep.samples_us_per_token) == 4
-    assert rep.us_per_token == pytest.approx(rep.wall_time_s * 1e6 / rep.tokens)
-    assert rep.us_per_token > 0
-    d = rep.to_dict()
-    json.dumps(d)
-    for key in ("config_hash", "mode", "phase", "us_per_token", "samples"):
-        assert key in d
+@pytest.mark.parametrize("perturb", [1e-3, np.nan])
+def test_mode_equivalence_raises_when_one_mode_is_perturbed(perturb):
+    logits = model_logits()
+
+    def perturbed(mode):
+        out = logits(mode)
+        if mode == "optimized":
+            out[0, 0] += perturb
+        return out
+
+    with pytest.raises(ContractError, match="paths diverge"):
+        verify_mode_equivalence(perturbed)
 
 
-def test_measure_latency_validates_args():
-    with pytest.raises(ContractError):
-        measure_latency(CFG, "optimized", "sideways", timed_iters=1)
-    with pytest.raises(ContractError):
-        measure_latency(CFG, "optimized", "forward", timed_iters=0)
+OPS = ("train_step", "serve")
+MODE_KEYS = {"median_ms", "tokens_per_s", "block_flops"}
 
 
-def test_compare_report_percentages():
-    a = measure_latency(CFG, "vanilla", "forward", warmup_iters=0, timed_iters=1,
-                        tokens=32)
-    same = compare_report(a, a)
-    assert same["percent"]["us_per_token"] == 100.0
-    b = measure_latency(CFG, "optimized", "forward", warmup_iters=0, timed_iters=1,
-                        tokens=32)
-    b.us_per_token = a.us_per_token * 0.7
-    assert compare_report(a, b)["percent"]["us_per_token"] == pytest.approx(70.0)
+def assert_bench_schema(result, rounds):
+    assert set(result) == {"config_hash", "host", "precision", "timed_iters",
+                           "base_flop_ratio", "ops", "memory"}
+    assert result["precision"] == "f32" and result["timed_iters"] == rounds
+    assert set(result["host"]) == {"numpy", "cpu_count", "threads"}
+    assert set(result["ops"]) == set(OPS)
+    for entry in result["ops"].values():
+        assert entry["max_abs_logit_diff"] < 1e-4
+        for mode in ("vanilla", "optimized"):
+            assert set(entry[mode]) == MODE_KEYS
+            assert entry[mode]["median_ms"] > 0 and entry[mode]["tokens_per_s"] > 0
+        assert len(entry["ratios"]) == rounds and entry["median_ratio"] > 0
+        base = Fraction(entry["optimized"]["block_flops"]["base"],
+                        entry["vanilla"]["block_flops"]["base"])
+        assert base == Fraction(result["base_flop_ratio"])
+    assert {"base_bytes", "per_set_bytes", "total"} <= set(result["memory"])
 
 
-def test_compare_report_rejects_mismatch():
-    a = measure_latency(CFG, "vanilla", "forward", warmup_iters=0, timed_iters=1,
-                        tokens=32)
-    b = measure_latency(CFG, "vanilla", "inference", warmup_iters=0, timed_iters=1,
-                        tokens=32)
-    with pytest.raises(ContractError):
-        compare_report(a, b)
+# Two experts, top-2 and two tasks: both ops run, over two serve sets.
+TINY = RunConfig(vocab_size=32, d_model=8, n_heads=2, d_ff=8, n_layers=1, n_experts=2,
+                 top_k=2, lora_rank=2, lora_alpha=4.0, max_seq_len=16, batch_size=2,
+                 seed=1, tasks=("copy", "reverse"))
 
 
 def test_run_bench_schema_and_flop_ratio():
-    result = run_bench(CFG, ["vanilla", "optimized"], models=2, tokens=64,
-                       phases=("forward",), warmup_iters=0, timed_iters=2)
+    result = run_bench(TINY, timed_iters=1)
     json.dumps(result)
-    assert result["flop_ratio"] == pytest.approx(2.0 / 3.0, abs=0)
-    assert result["flop_ratio_exact"] == "2/3"
-    assert len(result["reports"]) == 2
-    assert result["memory"]["per_model_share"] < 1.0
-    assert "us_per_token" in result["comparison"]["forward"]
+    assert_bench_schema(result, rounds=1)
+    assert result["base_flop_ratio"] == "2/3"
+    assert result["config_hash"] == config_hash(TINY)
+    assert result["ops"]["train_step"]["tokens"] == 2 * 14
+    assert result["ops"]["serve"]["tokens"] == 2 * 2 * 14
+    assert len(result["memory"]["per_set_bytes"]) == 2
+
+
+def test_committed_bench_config_and_baseline():
+    config = load_config(str(ROOT / "tools" / "bench-d512.json"))
+    assert (config.d_model, config.d_ff, len(config.tasks), config.batch_size,
+            config.seed) == (512, 1376, 4, 16, 0)
+    check_batching(config, multitask=True)
+    result = json.loads((ROOT / "BENCH_baseline.json").read_text())
+    assert_bench_schema(result, rounds=result["timed_iters"])
+    assert result["config_hash"] == config_hash(config)
 
 
 def test_flop_ledger_reset_and_filters():

@@ -111,10 +111,11 @@ def test_routing_is_reported_per_layer(tmp_path, capsys):
 
 
 def test_bench(config_path, capsys):
-    code, out = run(["bench", "--config", config_path, "--tokens", "8",
-                     "--warmup-iters", "1", "--timed-iters", "1"], capsys)
+    code, out = run(["bench", "--config", config_path, "--timed-iters", "1"], capsys)
     assert code == 0
-    assert "memory" in json.loads(out)
+    result = json.loads(out)
+    assert set(result["ops"]) == {"train_step", "serve"}
+    assert "memory" in result
 
 
 def test_sweep_sequential(tmp_path, config_path, capsys):
@@ -182,39 +183,51 @@ def test_sweep_jobs_are_bounded_by_the_points_and_below_by_one(config_path,
     assert capsys.readouterr().err.count("error: --jobs must be >= 1") == 2
 
 
+def refuse_bench_work(monkeypatch):
+    def refuse(*a, **k):
+        pytest.fail("bench generated tasks or built a model before checking its input")
+
+    monkeypatch.setattr(bench, "task_suite", refuse)
+    monkeypatch.setattr(bench, "build_model", refuse)
+
+
+# The first four are the options of the old block harness, now removed.
 @pytest.mark.parametrize("args", [
-    ["--tokens", "0"],
-    ["--tokens", "-5"],
-    ["--warmup-iters", "-3"],
-    ["--modes", ","],
-    ["--models", "0"],
-    ["--tokens", str(10**12)],
-    ["--models", str(10**12)],
+    ["--tokens", "8"],
+    ["--modes", "vanilla"],
+    ["--models", "2"],
+    ["--warmup-iters", "1"],
+    ["--timed-iters", "1.5"],
+    ["--timed-iters"],
+    ["--config"],
 ])
 def test_bench_bad_arguments_exit_2_before_allocating(config_path, monkeypatch,
                                                       capsys, args):
-    def refuse(*a, **k):
-        pytest.fail("bench allocated before validating its arguments")
-
-    monkeypatch.setattr(bench, "make_block", refuse)
-    monkeypatch.setattr(bench, "_bench_memory", refuse)
+    refuse_bench_work(monkeypatch)
     assert main(["bench", "--config", config_path] + args) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
     ["--timed-iters", "0"],
     ["--timed-iters", str(bench.MAX_ITERS + 1)],
-    ["--warmup-iters", str(10**12)],
+    ["--timed-iters", str(10**12)],
 ])
 def test_bench_iteration_counts_exit_2_before_any_work(config_path, monkeypatch,
                                                         capsys, args):
-    def refuse(*a, **k):
-        pytest.fail("bench ran before checking its iteration counts")
-
-    monkeypatch.setattr(bench, "verify_mode_equivalence", refuse)
+    refuse_bench_work(monkeypatch)
     assert main(["bench", "--config", config_path] + args) == 2
-    assert "_iters must be in" in capsys.readouterr().err
+    assert "timed_iters must be in" in capsys.readouterr().err
+
+
+def test_bench_that_cannot_form_a_batch_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                                 capsys):
+    refuse_bench_work(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "vocab_size": 32,
+                                "tasks": ["copy", "reverse", "shift", "parity"]}))
+    assert main(["bench", "--config", str(path)]) == 2
+    assert "batch_size 2 below task count 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "inspect-routing"])

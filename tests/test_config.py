@@ -13,9 +13,11 @@ from mixlora.bench import config_hash
 from mixlora.cli import main
 from mixlora import config as config_mod
 from mixlora.config import (
+    MAX_CONFIG_BYTES,
     ModelConfig,
     RunConfig,
     frozen_parameter_count,
+    load_config,
     step_activation_elements,
     trainable_parameter_count,
 )
@@ -111,6 +113,31 @@ def test_huge_dimensions_are_a_config_error(tmp_path, capsys):
     path.write_text(text)
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
     assert "above the limit" in capsys.readouterr().err
+
+
+def test_config_file_is_read_up_to_its_byte_bound(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    text = '{"steps": 0}'
+    path.write_text(text + " " * (MAX_CONFIG_BYTES - len(text)))
+    assert load_config(str(path)).steps == 0
+    path.write_text(text + " " * (MAX_CONFIG_BYTES + 1 - len(text)))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
+    assert f"larger than {MAX_CONFIG_BYTES} bytes" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("command", ["bench", "sweep --axis rank"])
+def test_endless_config_device_exits_2(command, capsys):
+    assert main([*command.split(), "--config", "/dev/zero"]) == 2
+    assert "larger than" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"steps": "\xff"}')
+    assert main(["bench", "--config", str(path)]) == 2
+    assert "is not UTF-8" in capsys.readouterr().err
 
 
 def test_size_limit_counts_the_base_and_one_adapter_set(monkeypatch):

@@ -22,7 +22,7 @@ from mixlora.numerics import (
 from conftest import chain_lora_delta, fd_grad, max_rel_err
 
 
-def make_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
+def random_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
                zero_adapters=False, dropout_p=0.0, dtype=np.float64):
     def lin(rows, cols):
         return FrozenLinear(rng.normal(0, 0.5, (rows, cols)).astype(dtype))
@@ -204,7 +204,7 @@ def dense_ffn(ffn, h):
 
 
 def test_vanilla_with_zero_adapters_is_plain_ffn(rng):
-    block = make_block(rng, zero_adapters=True)
+    block = random_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(12, 6)))
     out, _ = mixlora_forward(block, h, shared_base=False)
     plain = dense_ffn(block.ffn, h)
@@ -212,7 +212,7 @@ def test_vanilla_with_zero_adapters_is_plain_ffn(rng):
 
 
 def test_two_experts_full_routing_averages_outputs(rng):
-    block = make_block(rng, n_experts=2, top_k=2)
+    block = random_block(rng, n_experts=2, top_k=2)
     block.router.wr.data[...] = 0.0  # symmetric logits: gates are 0.5/0.5
     h = Tensor(rng.normal(size=(6, 6)))
     out, _ = mixlora_forward(block, h, shared_base=False)
@@ -238,7 +238,7 @@ def naive_single_expert(block, h, k):
 
 
 def test_vanilla_matches_naive_loop_oracle(rng):
-    block = make_block(rng)
+    block = random_block(rng)
     h = Tensor(rng.uniform(-1, 1, (20, 6)))
     out, _ = mixlora_forward(block, h, shared_base=False)
     assert np.abs(out.data - naive_mixlora(block, h.data)).max() < 1e-10
@@ -246,7 +246,7 @@ def test_vanilla_matches_naive_loop_oracle(rng):
 
 def test_optimized_matches_vanilla(rng):
     for n, k in ((2, 1), (4, 2), (8, 3), (1, 1)):
-        block = make_block(rng, n_experts=n, top_k=k)
+        block = random_block(rng, n_experts=n, top_k=k)
         h = Tensor(rng.uniform(-1, 1, (30, 6)))
         out_v, st_v = mixlora_forward(block, h, shared_base=False)
         out_o, st_o = mixlora_forward(block, h, shared_base=True)
@@ -270,7 +270,7 @@ def dense_lora_ffn(block, h, training, rng):
 @pytest.mark.parametrize("shared_base", [False, True])
 def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
     rng = np.random.default_rng(7)
-    block = make_block(rng, n_experts=1, top_k=1, dropout_p=dropout_p)
+    block = random_block(rng, n_experts=1, top_k=1, dropout_p=dropout_p)
     h_data = rng.normal(size=(13, 6))
     w = Tensor(rng.normal(size=(13, 6)))
     params = expert_params(block)
@@ -302,7 +302,7 @@ def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
 
 
 def test_optimized_with_zero_adapters_is_plain_ffn(rng):
-    block = make_block(rng, zero_adapters=True)
+    block = random_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(9, 6)))
     out, _ = mixlora_forward(block, h, shared_base=True)
     plain = dense_ffn(block.ffn, h)
@@ -333,14 +333,14 @@ def check_block_gradients(block, h_data, w):
 
 
 def test_block_gradients_vs_finite_differences(rng):
-    block = make_block(rng, d=5, dff=7, n_experts=3, top_k=2, rank=2)
+    block = random_block(rng, d=5, dff=7, n_experts=3, top_k=2, rank=2)
     h_data = rng.uniform(-1, 1, (8, 5))
     w = rng.normal(size=(8, 5))
     check_block_gradients(block, h_data, w)
 
 
 def test_block_gradients_with_an_empty_expert_segment(rng):
-    block = make_block(rng, d=5, dff=7, n_experts=3, top_k=2, rank=2)
+    block = random_block(rng, d=5, dff=7, n_experts=3, top_k=2, rank=2)
     block.router.wr.data[2] = -20.0  # positive inputs never pick expert 2
     h_data = rng.uniform(0.1, 1.0, (8, 5))
     _, _, stats = route(block.router, Tensor(h_data))
@@ -361,7 +361,7 @@ EDGE_ROUTINGS = {
 @pytest.mark.parametrize("name", sorted(EDGE_ROUTINGS))
 def test_edge_routings_match_vanilla_and_oracle(rng, name):
     n, k, forced, weight = EDGE_ROUTINGS[name]
-    block = make_block(rng, n_experts=n, top_k=k)
+    block = random_block(rng, n_experts=n, top_k=k)
     if forced is not None:
         block.router.wr.data[forced] = weight
     h = Tensor(rng.uniform(0.1, 1.0, (20, 6)))
@@ -404,7 +404,7 @@ def reference_dropout_forward(block: MixLoraBlock, h: np.ndarray,
 
 
 def test_dropout_masks_follow_the_documented_draw_order(rng):
-    block = make_block(rng, dropout_p=0.3)
+    block = random_block(rng, dropout_p=0.3)
     h = rng.uniform(-1, 1, (20, 6))
     expect = reference_dropout_forward(block, h, np.random.default_rng(7))
     no_dropout, _ = mixlora_forward(block, Tensor(h), shared_base=True)
@@ -510,7 +510,7 @@ def test_mixture_op_equals_the_op_chain_bit_for_bit(shared_base, dropout_p, dtyp
     rng = np.random.default_rng(11)
     # alpha/rank = 5/3 is inexact, so scaling another product than the chain
     # does changes the bits.
-    block = make_block(rng, n_experts=5, top_k=3, rank=3, alpha=5.0, dropout_p=dropout_p,
+    block = random_block(rng, n_experts=5, top_k=3, rank=3, alpha=5.0, dropout_p=dropout_p,
                        dtype=dtype)
     block.router.wr.data[4] = -20.0  # positive inputs never pick expert 4
     h_data = rng.uniform(0.1, 1.0, (23, 6)).astype(dtype)
@@ -543,7 +543,7 @@ def test_mixture_op_equals_the_op_chain_bit_for_bit(shared_base, dropout_p, dtyp
 @pytest.mark.parametrize("mode", ["vanilla", "optimized"])
 def test_the_mixture_is_one_tape_node_at_any_expert_count(rng, mode):
     for n in (1, 4, 8):
-        block = make_block(rng, n_experts=n, top_k=min(2, n))
+        block = random_block(rng, n_experts=n, top_k=min(2, n))
         h = Tensor(rng.normal(size=(10, 6)), requires_grad=True)
         with Tape() as routed:
             route(block.router, h)

@@ -238,6 +238,17 @@ def test_loaded_set_serves_the_saved_logits_over_the_same_base(saved, rng, monke
     assert np.array_equal(out["loaded"][0].data, out["task0"][0].data)
 
 
+def test_engine_built_from_a_run_config_loads_a_saved_set(saved, rng):
+    engine, path = saved
+    served = MultiTaskEngine(SAVED, SAVED.seed, dtype=SAVED.dtype, lr=SAVED.lr)
+    assert type(served.config) is ModelConfig
+    served.load_set("loaded", path)
+    batch = batch_for(rng, CFG)
+    loaded, _ = served.model("loaded").logits_at(batch.tokens, batch.positions)
+    saved_logits, _ = engine.model("task0").logits_at(batch.tokens, batch.positions)
+    assert np.array_equal(loaded.data, saved_logits.data)
+
+
 @pytest.mark.parametrize("engine_args, message", [
     (dict(config=CFG, seed=43), "seed"),
     (dict(config=dataclasses.replace(CFG, d_model=8), seed=42), "model config"),
