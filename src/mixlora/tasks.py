@@ -10,6 +10,13 @@ Sequence layouts (m = payload length):
 
 Accuracy is multiple-choice: argmax over the task's candidate ids at each
 target position.
+
+Generation contract (``SyntheticTask.generate``): payloads are drawn in rounds
+from ``default_rng([seed, 3, sym_lo, payload_len])``. Each round draws
+``total - filled`` rows, where ``total = train_count + test_count``, and keeps
+the first occurrence of each payload not kept before, in draw order. The first
+``train_count`` payloads are the train split and the rest the test split, so
+the splits are disjoint and every output bit follows from the seed.
 """
 
 from __future__ import annotations
@@ -75,40 +82,48 @@ class SyntheticTask:
             return np.asarray([m + 1], dtype=np.int64)
         return np.arange(m + 1, 2 * m + 1, dtype=np.int64)
 
-    def _answer(self, payload: np.ndarray) -> np.ndarray:
+    def _answer(self, payloads: np.ndarray) -> np.ndarray:
+        """Answers for payload rows [n, m]: [n, m] tokens, or [n, 1] parity labels."""
         if self.kind == "copy":
-            return payload
+            return payloads
         if self.kind == "reverse":
-            return payload[::-1]
+            return payloads[:, ::-1]
         if self.kind == "shift-by-k":
-            return (payload - self.sym_lo + self.shift) % self.n_symbols + self.sym_lo
-        ones = int((payload == self.sym_lo + 1).sum())
-        return np.asarray([self.label_ids[ones % 2]], dtype=np.int64)
+            return (payloads - self.sym_lo + self.shift) % self.n_symbols + self.sym_lo
+        ones = (payloads == self.sym_lo + 1).sum(axis=1, keepdims=True)
+        return np.asarray(self.label_ids, dtype=np.int64)[ones % 2]
 
     def generate(self, seed: int) -> "TaskData":
-        """Deterministic train/test sets with disjoint payloads."""
+        """Deterministic train/test sets with disjoint payloads.
+
+        Each round draws ``total - filled`` rows from
+        ``default_rng([seed, 3, sym_lo, payload_len])`` and keeps the first
+        occurrence of each payload not kept before, in draw order. The first
+        ``train_count`` payloads are train, the rest test.
+        """
         rng = np.random.default_rng([int(seed), 3, self.sym_lo, self.payload_len])
         total = self.train_count + self.test_count
         space = self.n_symbols ** self.payload_len
+        if space >= 2 ** 63:  # each payload is keyed by its base-n_symbols int64
+            raise ConfigError(f"task {self.name}: {space} payloads exceed the int64 key space")
         if total > space:
             raise ConfigError(
                 f"task {self.name}: {total} samples exceed {space} distinct payloads"
             )
-        seen: set[bytes] = set()
+        place = self.n_symbols ** np.arange(self.payload_len - 1, -1, -1, dtype=np.int64)
         payloads = np.empty((total, self.payload_len), dtype=np.int64)
+        kept = np.empty(0, dtype=np.int64)
         filled = 0
         while filled < total:
             cand = rng.integers(self.sym_lo, self.sym_hi,
                                 size=(total - filled, self.payload_len))
-            for row in cand:
-                key = row.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                payloads[filled] = row
-                filled += 1
-                if filled == total:
-                    break
+            keys = (cand - self.sym_lo) @ place
+            uniq, first = np.unique(keys, return_index=True)
+            # A round draws total - filled rows, so it never finds more new ones.
+            new = np.sort(first[~np.isin(uniq, kept)])
+            payloads[filled: filled + new.size] = cand[new]
+            kept = np.concatenate([kept, keys[new]])
+            filled += new.size
         return TaskData(
             task=self,
             train=self._encode(payloads[: self.train_count]),
@@ -123,12 +138,9 @@ class SyntheticTask:
         tokens[:, 1: m + 1] = payloads
         tokens[:, m + 1] = SEP
         if self.kind == "parity-classify":
-            labels = np.stack([self._answer(p) for p in payloads])
-        else:
-            answers = np.stack([self._answer(p) for p in payloads])
-            tokens[:, m + 2:] = answers
-            labels = answers
-        return tokens, labels
+            return tokens, self._answer(payloads)
+        tokens[:, m + 2:] = self._answer(payloads)
+        return tokens, tokens[:, m + 2:].copy()
 
 
 @dataclass

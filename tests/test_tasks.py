@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mixlora.errors import ContractError
+from mixlora.errors import ConfigError, ContractError
 from mixlora.tasks import BOS, SEP, SyntheticTask, default_tasks, make_batch, mixed_batch
 
 TASKS = default_tasks(train_count=96, test_count=32)
@@ -25,6 +25,73 @@ def test_generate_is_deterministic_per_seed_with_disjoint_splits(name):
     test = {row.tobytes() for row in payloads(a.test[0], task)}
     assert len(train) == task.train_count and len(test) == task.test_count
     assert not train & test
+
+
+def loop_generate(task, seed):
+    """The per-row generator that ``generate`` replaced, kept as the reference
+    for its bits: ((tokens, labels) train, (tokens, labels) test, rounds)."""
+    rng = np.random.default_rng([int(seed), 3, task.sym_lo, task.payload_len])
+    total = task.train_count + task.test_count
+    seen, payloads, filled, rounds = set(), np.empty((total, task.payload_len), np.int64), 0, 0
+    while filled < total:
+        rounds += 1
+        for row in rng.integers(task.sym_lo, task.sym_hi, size=(total - filled, task.payload_len)):
+            if row.tobytes() in seen:
+                continue
+            seen.add(row.tobytes())
+            payloads[filled] = row
+            filled += 1
+            if filled == total:
+                break
+
+    def answer(row):
+        if task.kind == "copy":
+            return row
+        if task.kind == "reverse":
+            return row[::-1]
+        if task.kind == "shift-by-k":
+            return (row - task.sym_lo + task.shift) % task.n_symbols + task.sym_lo
+        ones = int((row == task.sym_lo + 1).sum())
+        return np.asarray([task.label_ids[ones % 2]], dtype=np.int64)
+
+    def encode(rows):
+        m = task.payload_len
+        tokens = np.zeros((rows.shape[0], task.seq_len), dtype=np.int64)
+        tokens[:, 0], tokens[:, 1: m + 1], tokens[:, m + 1] = BOS, rows, SEP
+        labels = np.stack([answer(p) for p in rows])
+        if task.kind != "parity-classify":
+            tokens[:, m + 2:] = labels
+        return tokens, labels
+
+    return encode(payloads[: task.train_count]), encode(payloads[task.train_count:]), rounds
+
+
+def assert_same_as_loop(task, seed):
+    data = task.generate(seed)
+    train, test, rounds = loop_generate(task, seed)
+    for new, old in zip(data.train + data.test, train + test):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.flags.c_contiguous and np.array_equal(new, old)
+    return rounds
+
+
+@pytest.mark.parametrize("seed", [0, 7, 19])
+def test_generate_matches_the_per_row_loop_bit_for_bit(seed):
+    for task in default_tasks().values():
+        assert_same_as_loop(task, seed)
+    # 75 of 256 payloads: duplicates force redraw rounds.
+    small = SyntheticTask("small", "shift-by-k", 3, 7, 4, shift=3, train_count=60,
+                          test_count=15)
+    assert assert_same_as_loop(small, seed) > 1
+
+
+def test_payload_space_bounds_are_refused():
+    huge = SyntheticTask("huge", "copy", 3, 11, 21)  # 8**21 = 2**63 payloads
+    with pytest.raises(ConfigError, match="exceed the int64 key space"):
+        huge.generate(0)
+    tiny = SyntheticTask("tiny", "copy", 3, 5, 2, train_count=3, test_count=2)
+    with pytest.raises(ConfigError, match="5 samples exceed 4 distinct payloads"):
+        tiny.generate(0)
 
 
 @pytest.mark.parametrize("name", sorted(TASKS))
