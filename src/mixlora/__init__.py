@@ -30,7 +30,6 @@ from .moe import (
     aux_loss,
     expert_load_report,
     expert_load_std,
-    mixlora_forward,
     route,
 )
 from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_forward, multi_train_step

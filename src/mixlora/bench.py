@@ -62,9 +62,6 @@ class FlopLedger:
     def by_source(self) -> dict[str, int]:
         return {s: self.total(source=s) for s in (BASE, LORA, ROUTER)}
 
-    def reset(self) -> None:
-        self.counts.clear()
-
     @contextlib.contextmanager
     def capture(self):
         """Route matmul counts into this ledger for the scope."""

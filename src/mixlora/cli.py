@@ -1,13 +1,19 @@
 """Command-line entry point.
 
-Subcommands: train, eval, bench, sweep, inspect-routing.
+Subcommands: train, eval, bench, sweep.
 Exit codes: 0 ok, 2 usage/config/checkpoint problems, 3 numeric failure.
 
-``eval`` prints one JSON object {task, accuracy, expert_load_std, records}
-and ``inspect-routing`` prints its ``records``: one record per (layer, expert),
+``train`` mixes every configured task into each batch, in equal shares, so
+``batch_size`` must be a multiple of the task count; one task trains alone.
+
+``eval`` prints one JSON object {task, accuracy, expert_load_std, records}.
+``records`` is the routing report: one record per (layer, expert),
 {task, layer, expert_id, F, P, std}, where F is the share of held-out tokens
 whose argmax expert it is, P its mean router probability and std the
 layer's spread of F.
+
+``sweep`` prints one JSON line per axis point to stdout; redirect it to keep
+the rows in a file.
 
 ``bench`` runs ``train.train_step`` on one mixed batch and a serve call
 (``multitask.multi_forward`` over one adapter set per configured task), each in
@@ -26,7 +32,6 @@ fields that differ between runs on one host.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
@@ -54,8 +59,6 @@ def _parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train one adapter set and write a checkpoint")
     t.add_argument("--config", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--multitask", action="store_true",
-                   help="mix every configured task into each batch")
 
     e = sub.add_parser("eval", help="held-out accuracy and routing stats")
     e.add_argument("--ckpt", required=True)
@@ -70,27 +73,19 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--axis", required=True, choices=sorted(SWEEP_AXES))
     s.add_argument("--jobs", type=int, default=1,
                    help="parallel workers; results match the sequential run")
-    s.add_argument("--out", help="optional JSONL output path")
-
-    r = sub.add_parser("inspect-routing", help="per-layer expert load records")
-    r.add_argument("--ckpt", required=True)
-    r.add_argument("--task", required=True)
     return p
-
-
-def _open_out(path: str, what: str):
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    check_batching(config, args.multitask)
+    check_batching(config, multitask=True)
     metrics_path = args.out + ".metrics.jsonl"
-    with _open_out(metrics_path, "metrics") as log:
-        model, metrics = train(config, multitask=args.multitask,
+    try:
+        log = open(metrics_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write metrics {metrics_path}: {exc}") from exc
+    with log:
+        model, metrics = train(config, multitask=True,
                                log_cb=lambda entry: log.write(json.dumps(entry) + "\n"))
     save_checkpoint(args.out, config, model)
     summary = {
@@ -104,8 +99,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _task_report(args) -> dict:
-    """``evaluate_tasks``'s entry for ``--task`` on the ``--ckpt`` model."""
+def cmd_eval(args) -> int:
     registry = default_tasks()
     if args.task not in registry:
         raise ConfigError(f"unknown task {args.task!r}; known: {sorted(registry)}")
@@ -115,11 +109,8 @@ def _task_report(args) -> dict:
             f"checkpoint vocab_size {config.vocab_size} cannot encode task "
             f"{args.task!r}"
         )
-    return evaluate_tasks(model, config, [args.task])[args.task]
-
-
-def cmd_eval(args) -> int:
-    print(json.dumps({"task": args.task, **_task_report(args)}))
+    report = evaluate_tasks(model, config, [args.task])[args.task]
+    print(json.dumps({"task": args.task, **report}))
     return 0
 
 
@@ -133,13 +124,13 @@ def sweep_configs(config: RunConfig, axis: str) -> list[RunConfig]:
     name = "aux_coef" if axis == "aux_coef" else "lora_rank"
     points = [dataclasses.replace(config, **{name: value}) for value in SWEEP_AXES[axis]]
     for point in points:
-        check_batching(point.validate(), multitask=len(point.tasks) > 1)
+        check_batching(point.validate(), multitask=True)
     return points
 
 
 def sweep_point(config: RunConfig, axis: str, value) -> dict:
     """Train and evaluate one sweep point (top-level for process pools)."""
-    model, metrics = train(config, multitask=len(config.tasks) > 1)
+    model, metrics = train(config, multitask=True)
     results = evaluate_tasks(model, config)
     accs = [r["accuracy"] for r in results.values()]
     stds = [float(np.mean(r["expert_load_std"])) for r in results.values()]
@@ -167,16 +158,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     points = sweep_configs(config, args.axis)
-    with (_open_out(args.out, "sweep rows") if args.out else contextlib.nullcontext()) as out:
-        lines = [json.dumps(row) for row in run_sweep(points, args.axis, jobs=args.jobs)]
-        if args.out:
-            out.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return 0
-
-
-def cmd_inspect_routing(args) -> int:
-    print(json.dumps(_task_report(args)["records"]))
+    for row in run_sweep(points, args.axis, jobs=args.jobs):
+        print(json.dumps(row))
     return 0
 
 
@@ -191,7 +174,6 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
         "bench": cmd_bench,
         "sweep": cmd_sweep,
-        "inspect-routing": cmd_inspect_routing,
     }
     try:
         return handlers[args.command](args)

@@ -125,7 +125,7 @@ class ModelConfig:
 def frozen_parameter_count(config: ModelConfig) -> int:
     """Closed-form census of the frozen base: embeddings, layers, head."""
     d, dff = config.d_model, config.d_ff
-    per_layer = 4 * d * d + 3 * d * dff + 4 * d  # q/k/v/o, W1/W3/W2, two layer norms
+    per_layer = 4 * d * d + 3 * d * dff  # q/k/v/o, W1/W3/W2
     return (2 * config.vocab_size + config.max_seq_len) * d + config.n_layers * per_layer
 
 

@@ -1,12 +1,13 @@
 """Minimal decoder-style transformer hosting the expert mixture.
 
-The frozen base (embeddings, attention weights, layer norms, FFN, output
-head) is a seeded Gaussian surrogate for pretrained weights; the only
-trainable state lives in an AdapterSet: per-layer attention LoRA adapters
-plus expert triples and a router. The plain LoRA baseline is the one-expert
-mixture (``n_experts=1, top_k=1``): its gate is exactly 1.0, its router holds
-``d_model`` weights per layer that never move, and its balance loss is the
-constant ``aux_coef`` per layer (up to rounding). Residual structure per layer:
+The frozen base (embeddings, attention weights, FFN, output head) is a
+seeded Gaussian surrogate for pretrained weights; the layer norms LN1 and
+LN2 have no affine, so they hold no weights. The only trainable state lives
+in an AdapterSet: per-layer attention LoRA adapters plus expert triples and
+a router. The plain LoRA baseline is the one-expert mixture (``n_experts=1,
+top_k=1``): its gate is exactly 1.0, its router holds ``d_model`` weights per
+layer that never move, and its balance loss is the constant ``aux_coef`` per
+layer (up to rounding). Residual structure per layer:
 
     z = MSA(LN1(h)) + h
     h' = FfnBlock(LN2(z)) + z
@@ -54,7 +55,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class LayerWeights:
-    """Frozen per-layer weights: two layer norms, attention, shared FFN."""
+    """Frozen per-layer weights: attention and the shared FFN."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype):
         d, dff = config.d_model, config.d_ff
@@ -68,10 +69,6 @@ class LayerWeights:
         self.wv = lin(d, d)
         self.wo = lin(d, d)
         self.ffn = SharedFfn(lin(dff, d), lin(dff, d), lin(d, dff))
-        self.ln1_g = Tensor(_read_only(np.ones(d, dtype=dtype)))
-        self.ln1_b = Tensor(_read_only(np.zeros(d, dtype=dtype)))
-        self.ln2_g = Tensor(_read_only(np.ones(d, dtype=dtype)))
-        self.ln2_b = Tensor(_read_only(np.zeros(d, dtype=dtype)))
 
 
 class FrozenBase:
@@ -101,10 +98,6 @@ class FrozenBase:
         for i, lw in enumerate(self.layers):
             p = f"base.layer{i}"
             out += [
-                (f"{p}.ln1.gain", lw.ln1_g),
-                (f"{p}.ln1.bias", lw.ln1_b),
-                (f"{p}.ln2.gain", lw.ln2_g),
-                (f"{p}.ln2.bias", lw.ln2_b),
                 (f"{p}.attn.wq", lw.wq.w),
                 (f"{p}.attn.wk", lw.wk.w),
                 (f"{p}.attn.wv", lw.wv.w),
@@ -276,10 +269,10 @@ def attention_forward(lw: LayerWeights, attn_adapters: dict[str, LoraAdapter], x
 def layer_forward(lw: LayerWeights, la: LayerAdapters, block: MixLoraBlock, h: Tensor,
                   mode: str, n_seqs: int, n_heads: int, training: bool = False,
                   rng: np.random.Generator | None = None) -> tuple[Tensor, RoutingStats]:
-    x1 = layer_norm(h, lw.ln1_g, lw.ln1_b)
+    x1 = layer_norm(h)
     attn = attention_forward(lw, la.attn, x1, n_seqs, n_heads, training, rng)
     z = add(attn, h)
-    x2 = layer_norm(z, lw.ln2_g, lw.ln2_b)
+    x2 = layer_norm(z)
     f, st = block.forward(x2, mode, training, rng)
     return add(f, z), st
 

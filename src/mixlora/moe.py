@@ -2,13 +2,13 @@
 
 Every expert is the same frozen (W1, W3, W2) block plus an expert-specific
 LoRA triple; a linear-softmax router picks the top-k experts per token and
-renormalizes their gates. ``mixlora_forward`` is ``route`` plus one tape op
-with a hand-written backward, in one of two modes set by ``shared_base``:
+renormalizes their gates. ``MixLoraBlock.forward`` is ``route`` plus one
+tape op with a hand-written backward, in one of two modes:
 
-* off ("vanilla"): each expert runs the full FFN on its routed tokens, so
-  the base projections cost 3*k GEMM-token units.
-* on ("optimized"): the base W1/W3 products are computed once for all
-  tokens and gathered per expert, for (2+k) units.
+* "vanilla": each expert runs the full FFN on its routed tokens, so the base
+  projections cost 3*k GEMM-token units.
+* "optimized": the base W1/W3 products are computed once for all tokens and
+  gathered per expert, for (2+k) units.
 
 Dispatch is by index, with no padded copies: one stable argsort of the
 flattened [T, k] expert choices groups the (token, expert) pairs into
@@ -183,6 +183,11 @@ def aux_loss(stats: RoutingStats, n_experts: int, coef: float) -> Tensor:
     return sum_all(mul(stats.prob_sums, weights))
 
 
+def _base(frozen: FrozenLinear, x: np.ndarray, proj: str) -> np.ndarray:
+    with flop_labels(projection=proj, source="base"):
+        return frozen.apply(Tensor(x)).data
+
+
 class MixLoraBlock:
     """Router + shared frozen FFN + per-expert LoRA triples."""
 
@@ -205,108 +210,101 @@ class MixLoraBlock:
 
     def forward(self, h: Tensor, mode: str, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, RoutingStats]:
+        """Routed expert mixture over the rows of h: ``route``, then one tape
+        op (see the module docstring); mode "optimized" shares the base W1/W3."""
         if mode not in MODES:
             raise ContractError(f"unknown forward mode {mode!r}")
-        return mixlora_forward(self, h, mode == "optimized", training, rng)
-
-
-def _base(frozen: FrozenLinear, x: np.ndarray, proj: str) -> np.ndarray:
-    with flop_labels(projection=proj, source="base"):
-        return frozen.apply(Tensor(x)).data
-
-
-def mixlora_forward(block: MixLoraBlock, h: Tensor, shared_base: bool,
-                    training: bool = False, rng: np.random.Generator | None = None
-                    ) -> tuple[Tensor, RoutingStats]:
-    """Routed expert mixture over the rows of h: ``route``, then one tape op
-    (see the module docstring); shared_base selects the optimized path."""
-    ffn, triples = block.ffn, block.experts
-    with flop_labels(layer=block.layer_index):
-        gates, _, stats = route(block.router, h)
-        sel = stats.topk_indices
-        n_tok, top_k = sel.shape
-        flat = sel.ravel()
-        order = np.argsort(flat, kind="stable")
-        tok, col = order // top_k, flat[order]  # token and expert of each sorted row
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=block.n_experts))))
-        segs = [(e, bounds[e], bounds[e + 1]) for e in range(block.n_experts)
-                if bounds[e] < bounds[e + 1]]
-        params = [t for tri in triples for ad in (tri.w1, tri.w3, tri.w2) for t in (ad.a, ad.b)]
-        tape = _tape_for(h, gates, *params)
-        x, dff = h.data, ffn.d_ff
-        if shared_base:
-            h1_all, h3_all = _base(ffn.w1, x, "w1"), _base(ffn.w3, x, "w3")
-        saved, mids, d2s = [], [], []
-        for e, a, b in segs:
-            tri, rows = triples[e], tok[a:b]
-            xe = x[rows]
-            m1, m3, m2 = (dropout_mask(shape, x.dtype, ad.dropout_p, rng, training)
-                          for ad, shape in ((tri.w1, xe.shape), (tri.w3, xe.shape),
-                                            (tri.w2, (b - a, dff))))
-            with flop_labels(projection="w1", source="lora"):
-                u1, delta1 = lora_forward(tri.w1, xe, m1)
-            with flop_labels(projection="w3", source="lora"):
-                u3, delta3 = lora_forward(tri.w3, xe, m3)
+        shared_base = mode == "optimized"
+        ffn, triples = self.ffn, self.experts
+        with flop_labels(layer=self.layer_index):
+            gates, _, stats = route(self.router, h)
+            sel = stats.topk_indices
+            n_tok, top_k = sel.shape
+            flat = sel.ravel()
+            order = np.argsort(flat, kind="stable")
+            tok, col = order // top_k, flat[order]  # token and expert of each sorted row
+            counts = np.bincount(flat, minlength=self.n_experts)
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            segs = [(e, bounds[e], bounds[e + 1]) for e in range(self.n_experts)
+                    if bounds[e] < bounds[e + 1]]
+            params = [t for tri in triples for ad in (tri.w1, tri.w3, tri.w2)
+                      for t in (ad.a, ad.b)]
+            tape = _tape_for(h, gates, *params)
+            x, dff = h.data, ffn.d_ff
             if shared_base:
-                h1, h3 = h1_all[rows], h3_all[rows]
-            else:
-                h1, h3 = _base(ffn.w1, xe, "w1"), _base(ffn.w3, xe, "w3")
-            h1 += delta1
-            h3 += delta3
-            mids.append((h1 * _sigmoid(h1)) * h3)
-            with flop_labels(projection="w2", source="lora"):
-                u2, d2 = lora_forward(tri.w2, mids[-1], m2)
-            d2s.append(d2)
-            if tape is not None:
-                saved.append((e, a, b, (m1, m3, m2), h1, h3, u1, u3, u2))
-        # W2 is the same frozen matrix for every expert: one GEMM over all
-        # sorted rows replaces one per expert.
-        y = _base(ffn.w2, np.concatenate(mids), "w2")
-        y += np.concatenate(d2s)
-        gate = gates.data[tok, col]
-        ys = y * gate[:, None]
-        # Sorted position of each (token, slot) pair: row t of the output sums
-        # the k rows of ys at inv[t].
-        inv = np.argsort(order).reshape(n_tok, top_k)
-        out = Tensor(ys[inv].sum(axis=1))
-    if tape is None:
+                h1_all, h3_all = _base(ffn.w1, x, "w1"), _base(ffn.w3, x, "w3")
+            saved, mids, d2s = [], [], []
+            for e, a, b in segs:
+                tri, rows = triples[e], tok[a:b]
+                xe = x[rows]
+                m1, m3, m2 = (dropout_mask(shape, x.dtype, ad.dropout_p, rng, training)
+                              for ad, shape in ((tri.w1, xe.shape), (tri.w3, xe.shape),
+                                                (tri.w2, (b - a, dff))))
+                with flop_labels(projection="w1", source="lora"):
+                    u1, delta1 = lora_forward(tri.w1, xe, m1)
+                with flop_labels(projection="w3", source="lora"):
+                    u3, delta3 = lora_forward(tri.w3, xe, m3)
+                if shared_base:
+                    h1, h3 = h1_all[rows], h3_all[rows]
+                else:
+                    h1, h3 = _base(ffn.w1, xe, "w1"), _base(ffn.w3, xe, "w3")
+                h1 += delta1
+                h3 += delta3
+                mids.append((h1 * _sigmoid(h1)) * h3)
+                with flop_labels(projection="w2", source="lora"):
+                    u2, d2 = lora_forward(tri.w2, mids[-1], m2)
+                d2s.append(d2)
+                if tape is not None:
+                    saved.append((e, a, b, (m1, m3, m2), h1, h3, u1, u3, u2))
+            # W2 is the same frozen matrix for every expert: one GEMM over all
+            # sorted rows replaces one per expert.
+            y = _base(ffn.w2, np.concatenate(mids), "w2")
+            y += np.concatenate(d2s)
+            gate = gates.data[tok, col]
+            ys = y * gate[:, None]
+            # Sorted position of each (token, slot) pair: row t of the output sums
+            # the k rows of ys at inv[t].
+            inv = np.argsort(order).reshape(n_tok, top_k)
+            out = Tensor(ys[inv].sum(axis=1))
+        if tape is None:
+            return out, stats
+        out.requires_grad = True
+
+        def bwd(g):  # keeps tok, col, saved, y and gate
+            gy = g[tok]
+            dgate = np.zeros_like(gates.data)
+            dgate[tok, col] = (gy * y).sum(axis=1)
+            _accum(gates, dgate)
+            gy *= gate[:, None]
+            dmid = gy @ ffn.w2.w.data
+            dh, dh1_all, dh3_all = (np.zeros((n_tok, n), x.dtype)
+                                    for n in (x.shape[1], dff, dff))
+            for e, a, b, (m1, m3, m2), h1, h3, u1, u3, u2 in reversed(saved):
+                tri, rows = triples[e], tok[a:b]
+                s = _sigmoid(h1)
+                act = h1 * s
+                dm = dmid[a:b] + lora_backward(tri.w2, act * h3, m2, u2, gy[a:b])
+                dh3 = dm * act
+                dh1 = (dm * h3) * (s * (1.0 + h1 * (1.0 - s)))
+                xe = x[rows]
+                dx3 = lora_backward(tri.w3, xe, m3, u3, dh3)
+                dx1 = lora_backward(tri.w1, xe, m1, u1, dh1)
+                if shared_base:
+                    dx = dx3 + dx1
+                    dh3_all[rows] += dh3
+                    dh1_all[rows] += dh1
+                else:  # summed as the chain does: w3 LoRA, w3 base, w1 LoRA, w1 base
+                    dx = dx3 + dh3 @ ffn.w3.w.data
+                    dx += dx1
+                    dx += dh1 @ ffn.w1.w.data
+                dh[rows] += dx
+            if shared_base:
+                dh += dh3_all @ ffn.w3.w.data
+                dh += dh1_all @ ffn.w1.w.data
+            _accum(h, dh)
+
+        tape._record(out, bwd)
         return out, stats
-    out.requires_grad = True
-
-    def bwd(g):  # keeps tok, col, saved, y and gate
-        gy = g[tok]
-        dgate = np.zeros_like(gates.data)
-        dgate[tok, col] = (gy * y).sum(axis=1)
-        _accum(gates, dgate)
-        gy *= gate[:, None]
-        dmid = gy @ ffn.w2.w.data
-        dh, dh1_all, dh3_all = (np.zeros((n_tok, n), x.dtype) for n in (x.shape[1], dff, dff))
-        for e, a, b, (m1, m3, m2), h1, h3, u1, u3, u2 in reversed(saved):
-            tri, rows = triples[e], tok[a:b]
-            s = _sigmoid(h1)
-            act = h1 * s
-            dm = dmid[a:b] + lora_backward(tri.w2, act * h3, m2, u2, gy[a:b])
-            dh3 = dm * act
-            dh1 = (dm * h3) * (s * (1.0 + h1 * (1.0 - s)))
-            xe = x[rows]
-            dx3 = lora_backward(tri.w3, xe, m3, u3, dh3)
-            dx1 = lora_backward(tri.w1, xe, m1, u1, dh1)
-            if shared_base:
-                dx = dx3 + dx1
-                dh3_all[rows] += dh3
-                dh1_all[rows] += dh1
-            else:  # summed as the chain does: w3 LoRA, w3 base, w1 LoRA, w1 base
-                dx = dx3 + dh3 @ ffn.w3.w.data
-                dx += dx1
-                dx += dh1 @ ffn.w1.w.data
-            dh[rows] += dx
-        if shared_base:
-            dh += dh3_all @ ffn.w3.w.data
-            dh += dh1_all @ ffn.w1.w.data
-        _accum(h, dh)
-
-    tape._record(out, bwd)
-    return out, stats
 
 
 def expert_load_std(stats: RoutingStats) -> float:

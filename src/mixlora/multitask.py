@@ -24,7 +24,7 @@ from .train import train_step
 
 @dataclass
 class MultiTaskBatch:
-    """One Batch per adapter set, keyed by set id."""
+    """One Batch per adapter set, keyed by set id; each id at most once."""
 
     set_ids: list[str]
     slices: list[Batch]
@@ -32,6 +32,8 @@ class MultiTaskBatch:
     def __post_init__(self):
         if len(self.set_ids) != len(self.slices) or not self.set_ids:
             raise ContractError("multi-task batch needs one slice per set id")
+        if len(set(self.set_ids)) != len(self.set_ids):
+            raise ContractError(f"multi-task batch repeats a set id: {self.set_ids}")
 
 
 class MultiTaskEngine:

@@ -34,9 +34,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if dtype is None and arr.dtype not in (np.float32, np.float64):
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
@@ -272,34 +272,26 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization of a 2-D input to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row normalization of a 2-D input to zero mean / unit variance.
+
+    No affine: over a frozen base it would be the identity (gain 1, bias 0)."""
     if x.ndim != 2 or x.shape[1] < 2:
         raise DimensionError(f"layer_norm: need 2-D rows of >= 2, got shape {x.shape}")
-    d = x.shape[1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise DimensionError(
-            f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not match dim {d}"
-        )
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    tape = _tape_for(x, gain, bias)
+    out = Tensor(xhat)
+    tape = _tape_for(x)
     if tape is not None:
         out.requires_grad = True
 
-        def bwd(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv):
-            if gain.requires_grad:
-                _accum(gain, (g * xhat).sum(axis=0))
-            if bias.requires_grad:
-                _accum(bias, g.sum(axis=0))
-            dxhat = g * gain.data
+        def bwd(g, x=x, xhat=xhat, inv=inv):
             dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                g
+                - g.mean(axis=-1, keepdims=True)
+                - xhat * (g * xhat).mean(axis=-1, keepdims=True)
             )
             _accum(x, dx)
 

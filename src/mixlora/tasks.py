@@ -188,13 +188,16 @@ def sample_batch(task: SyntheticTask, data: tuple[np.ndarray, np.ndarray],
 
 def mixed_batch(tasks: list[SyntheticTask], datas: list[tuple[np.ndarray, np.ndarray]],
                 rng: np.random.Generator, batch_size: int) -> Batch:
-    """Evenly mixed batch across tasks; all tasks must share seq_len."""
+    """Evenly mixed batch across tasks: ``batch_size / len(tasks)`` rows of
+    each, drawn as ``sample_batch`` draws them, so one task gives exactly
+    ``sample_batch``'s batch. All tasks must share seq_len."""
     seq_lens = {t.seq_len for t in tasks}
     if len(seq_lens) != 1:
         raise ContractError(f"mixed batch needs one seq_len, got {sorted(seq_lens)}")
-    per = batch_size // len(tasks)
-    if per < 1:
-        raise ContractError(f"batch_size {batch_size} below task count {len(tasks)}")
+    per, rest = divmod(batch_size, len(tasks))
+    if per < 1 or rest:
+        raise ContractError(f"batch_size {batch_size} is not a positive multiple of "
+                            f"the task count {len(tasks)}")
     tok_parts, pos_parts, lab_parts = [], [], []
     row_base = 0
     seq_len = seq_lens.pop()

@@ -28,15 +28,16 @@ def task_suite(config: RunConfig) -> tuple[list[SyntheticTask], list[TaskData]]:
 
 def check_batching(config: RunConfig, multitask: bool) -> None:
     """Raise ``ConfigError`` unless ``train(config, multitask)`` can form its
-    batches: one task alone, or every task at least once per mixed batch."""
+    batches: one task alone, or an equal share of every task per mixed batch."""
     n_tasks = len(config.tasks)
     if not multitask and n_tasks != 1:
         raise ConfigError(
             "single-task training needs exactly one task; pass multitask=True "
             f"for the {n_tasks}-task suite"
         )
-    if multitask and config.batch_size < n_tasks:
-        raise ConfigError(f"batch_size {config.batch_size} below task count {n_tasks}")
+    if multitask and config.batch_size % n_tasks:
+        raise ConfigError(f"batch_size {config.batch_size} is not a multiple of the "
+                          f"task count {n_tasks}")
 
 
 def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:

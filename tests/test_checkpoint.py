@@ -133,9 +133,8 @@ def test_wrong_seed_exits_2_while_the_saved_seed_base_is_resident(tmp_path, caps
     save_checkpoint(str(path), TINY, model)
     path.write_bytes(resealed(path.read_bytes().replace(b'"seed": 3', b'"seed": 4', 1)))
     assert resident_base(TINY.model(), TINY.seed, TINY.dtype) is model.base
-    for command in ("eval", "inspect-routing"):
-        assert main([command, "--ckpt", str(path), "--task", "copy"]) == 2
-        assert "frozen base checksum" in capsys.readouterr().err
+    assert main(["eval", "--ckpt", str(path), "--task", "copy"]) == 2
+    assert "frozen base checksum" in capsys.readouterr().err
 
 
 def test_truncation_at_every_offset_is_a_checkpoint_error(tmp_path):
@@ -204,9 +203,8 @@ def test_max_seq_len_below_the_tasks_in_a_checkpoint_exits_2(tmp_path, capsys):
     path = tmp_path / "bad"
     path.write_bytes(resealed(with_config(
         data, lambda cfg: cfg.replace(b'"max_seq_len": 16', b'"max_seq_len": 4', 1))))
-    for command in ("eval", "inspect-routing"):
-        assert main([command, "--ckpt", str(path), "--task", "copy"]) == 2
-        assert "max_seq_len 4 below task seq_len 14" in capsys.readouterr().err
+    assert main(["eval", "--ckpt", str(path), "--task", "copy"]) == 2
+    assert "max_seq_len 4 below task seq_len 14" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -229,9 +227,8 @@ def test_resealed_edits_exit_2(tmp_path, capsys, edit, message):
     assert edited != data
     path = tmp_path / "bad"
     path.write_bytes(edited)
-    for command in ("eval", "inspect-routing"):
-        assert main([command, "--ckpt", str(path), "--task", "copy"]) == 2
-        assert message in capsys.readouterr().err
+    assert main(["eval", "--ckpt", str(path), "--task", "copy"]) == 2
+    assert message in capsys.readouterr().err
 
 
 class _FullDisk:
@@ -306,13 +303,12 @@ def test_non_finite_records_exit_2(tmp_path, capsys, record, value):
         dict(named_model_tensors(model))[record].data.flat[0] = value
     path = str(tmp_path / "ckpt")
     save_checkpoint(path, TINY, model)
-    for command in ("eval", "inspect-routing"):
-        assert main([command, "--ckpt", path, "--task", "copy"]) == 2
-        err = capsys.readouterr().err
-        if record.startswith("base."):  # the base is not stored, only its checksum
-            assert "frozen base checksum" in err
-        else:
-            assert f"{record}: non-finite" in err
+    assert main(["eval", "--ckpt", path, "--task", "copy"]) == 2
+    err = capsys.readouterr().err
+    if record.startswith("base."):  # the base is not stored, only its checksum
+        assert "frozen base checksum" in err
+    else:
+        assert f"{record}: non-finite" in err
 
 
 def test_base_crc_is_the_checksum_of_a_cold_and_a_resident_base():

@@ -61,30 +61,37 @@ def test_train_to_unwritable_paths_exits_2(tmp_path, config_path, capsys):
     assert "error: cannot write" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("changes, flags, message", [
-    ({"tasks": ["copy", "reverse"]}, [], "single-task training needs exactly one task"),
-    ({"tasks": ["copy", "reverse", "shift", "parity"]}, ["--multitask"],
-     "batch_size 2 below task count 4"),
-], ids=["two-tasks-single", "batch-below-task-count"])
+FOUR_TASKS = {"vocab_size": 32, "tasks": ["copy", "reverse", "shift", "parity"]}
+
+
+@pytest.mark.parametrize("batch_size", [2, 18],
+                         ids=["batch-below-task-count", "batch-not-a-multiple"])
 def test_train_that_cannot_form_a_batch_exits_2_and_leaves_no_file(
-        tmp_path, changes, flags, message, monkeypatch, capsys):
+        tmp_path, batch_size, monkeypatch, capsys):
     monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a step ran"))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**TINY, "vocab_size": 32, **changes}))
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt"), *flags]) == 2
-    assert message in capsys.readouterr().err
+    path.write_text(json.dumps({**TINY, **FOUR_TASKS, "batch_size": batch_size}))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
+    assert (f"batch_size {batch_size} is not a multiple of the task count 4"
+            in capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
-def test_eval_and_inspect_routing_on_a_one_expert_checkpoint(ckpt, capsys):
+def test_train_mixes_every_configured_task(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, **FOUR_TASKS, "batch_size": 4}))
+    code, out = run(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")], capsys)
+    assert code == 0
+    assert sorted(json.loads(out)["eval"]) == sorted(FOUR_TASKS["tasks"])
+
+
+def test_eval_on_a_one_expert_checkpoint(ckpt, capsys):
     code, out = run(["eval", "--ckpt", ckpt, "--task", "copy"], capsys)
     assert code == 0
     result = json.loads(out)
     assert result["task"] == "copy" and 0.0 <= result["accuracy"] <= 1.0
     assert result["expert_load_std"] == [0.0]
-    code, out = run(["inspect-routing", "--ckpt", ckpt, "--task", "copy"], capsys)
-    assert code == 0
-    (record,) = json.loads(out)
+    (record,) = result["records"]
     assert record["expert_id"] == 0 and record["F"] == 1.0 and record["P"] == 1.0
 
 
@@ -94,9 +101,9 @@ def test_routing_is_reported_per_layer(tmp_path, capsys):
     ckpt = str(tmp_path / "ckpt")
     assert main(["train", "--config", str(config), "--out", ckpt]) == 0
     capsys.readouterr()
-    code, out = run(["inspect-routing", "--ckpt", ckpt, "--task", "copy"], capsys)
+    code, out = run(["eval", "--ckpt", ckpt, "--task", "copy"], capsys)
     assert code == 0
-    records = json.loads(out)
+    records = json.loads(out)["records"]
     assert [(r["layer"], r["expert_id"]) for r in records] == [
         (layer, e) for layer in range(2) for e in range(4)]
     loaded, model = load_checkpoint(ckpt)
@@ -106,8 +113,6 @@ def test_routing_is_reported_per_layer(tmp_path, capsys):
         fractions = [r["F"] for r in records if r["layer"] == layer]
         assert fractions == st.dispatch_fractions().tolist()
         assert sum(fractions) == pytest.approx(1.0, abs=1e-12)
-    code, out = run(["eval", "--ckpt", ckpt, "--task", "copy"], capsys)
-    assert code == 0 and json.loads(out)["records"] == records
 
 
 def test_bench(config_path, capsys):
@@ -118,35 +123,21 @@ def test_bench(config_path, capsys):
     assert "memory" in result
 
 
-def test_sweep_sequential(tmp_path, config_path, capsys):
-    rows_path = tmp_path / "rows.jsonl"
+def test_sweep_sequential(config_path, capsys):
     code, out = run(["sweep", "--config", config_path, "--axis", "aux_coef",
-                     "--jobs", "1", "--out", str(rows_path)], capsys)
+                     "--jobs", "1"], capsys)
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["value"] for r in rows] == [0.0, 1e-3, 1e-2, 1e-1]
-    assert rows_path.read_text().splitlines() == out.splitlines()
 
 
-def test_sweep_to_a_missing_directory_exits_2_before_training(tmp_path, config_path,
-                                                              monkeypatch, capsys):
-    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a sweep point trained"))
-    missing = tmp_path / "missing" / "rows.jsonl"
-    assert main(["sweep", "--config", config_path, "--axis", "aux_coef",
-                 "--out", str(missing)]) == 2
-    assert not missing.parent.exists()
-    assert "error: cannot write sweep rows" in capsys.readouterr().err
-
-
-def test_sweep_with_an_invalid_point_exits_2_before_training(tmp_path, config_path,
-                                                             monkeypatch, capsys):
+def test_sweep_with_an_invalid_point_exits_2_before_training(config_path, monkeypatch,
+                                                             capsys):
     # d_model 8 admits ranks 2, 4 and 8 but not 16, so no point may train.
     monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a sweep point trained"))
-    rows_path = tmp_path / "rows.jsonl"
-    assert main(["sweep", "--config", config_path, "--axis", "rank",
-                 "--out", str(rows_path)]) == 2
-    assert "lora_rank 16 exceeds" in capsys.readouterr().err
-    assert not rows_path.exists()
+    assert main(["sweep", "--config", config_path, "--axis", "rank"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "lora_rank 16 exceeds" in err
 
 
 class FakePool:
@@ -224,25 +215,21 @@ def test_bench_that_cannot_form_a_batch_exits_2_before_any_work(tmp_path, monkey
                                                                  capsys):
     refuse_bench_work(monkeypatch)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**TINY, "vocab_size": 32,
-                                "tasks": ["copy", "reverse", "shift", "parity"]}))
+    path.write_text(json.dumps({**TINY, **FOUR_TASKS}))
     assert main(["bench", "--config", str(path)]) == 2
-    assert "batch_size 2 below task count 4" in capsys.readouterr().err
+    assert "batch_size 2 is not a multiple of the task count 4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "inspect-routing"])
-def test_unknown_task_exits_2_before_the_checkpoint_is_read(tmp_path, monkeypatch,
-                                                            capsys, command):
+def test_unknown_task_exits_2_before_the_checkpoint_is_read(tmp_path, monkeypatch, capsys):
     def refuse(path):
         pytest.fail("the checkpoint was read before the task was checked")
 
     monkeypatch.setattr(cli, "load_checkpoint", refuse)
-    assert main([command, "--ckpt", str(tmp_path / "ckpt"), "--task", "nosuch"]) == 2
+    assert main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--task", "nosuch"]) == 2
     assert "unknown task 'nosuch'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "inspect-routing"])
-def test_bad_checkpoints_and_tasks_exit_2(tmp_path, ckpt, command, capsys):
+def test_bad_checkpoints_and_tasks_exit_2(tmp_path, ckpt, capsys):
     with open(ckpt, "rb") as f:
         data = f.read()
     bad = []
@@ -252,7 +239,7 @@ def test_bad_checkpoints_and_tasks_exit_2(tmp_path, ckpt, command, capsys):
         bad.append((str(path), "copy"))
     bad += [(str(tmp_path / "missing"), "copy"), (str(tmp_path), "copy"), (ckpt, "nosuch")]
     for path, task in bad:
-        assert main([command, "--ckpt", path, "--task", task]) == 2, (path, task)
+        assert main(["eval", "--ckpt", path, "--task", task]) == 2, (path, task)
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -260,6 +247,13 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["train", "--config", "x"]) == 2
     capsys.readouterr()
-    # train takes its mode from the config only.
+    # train takes its mode and its tasks from the config only.
     assert main(["train", "--config", "x", "--out", "y", "--mode", "vanilla"]) == 2
     assert "unrecognized arguments: --mode vanilla" in capsys.readouterr().err
+    assert main(["train", "--config", "x", "--out", "y", "--multitask"]) == 2
+    assert "unrecognized arguments: --multitask" in capsys.readouterr().err
+    # sweep rows go to stdout only, and eval's records are the routing report.
+    assert main(["sweep", "--config", "x", "--axis", "rank", "--out", "y"]) == 2
+    assert "unrecognized arguments: --out y" in capsys.readouterr().err
+    assert main(["inspect-routing", "--ckpt", "x", "--task", "copy"]) == 2
+    assert "invalid choice: 'inspect-routing'" in capsys.readouterr().err

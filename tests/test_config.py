@@ -259,14 +259,12 @@ HOSTILE = (None, True, "8", [], {}, ["copy", 1], -1, 1.5, 1e308, -1e308, float("
 @given(changes=st.fixed_dictionaries(
            {}, optional={name: st.sampled_from(v) for name, v in FUZZ_FIELDS.items()}),
        hostile=st.none() | st.tuples(st.sampled_from(sorted(FUZZ_FIELDS)),
-                                     st.sampled_from(HOSTILE)),
-       multitask=st.booleans())
-def test_fuzzed_config_trains_or_exits_2_leaving_nothing(changes, hostile, multitask):
+                                     st.sampled_from(HOSTILE)))
+def test_fuzzed_config_trains_or_exits_2_leaving_nothing(changes, hostile):
     """Any config JSON either trains (exit 0, writing the checkpoint and its
     metrics) or is refused with exit 2 before any file is written. A warning
     is an error under this suite's settings, so an overflow fails the test."""
     config = {**FUZZ_BASE, **changes, **dict([hostile] if hostile else [])}
-    flags = ["--multitask"] if multitask else []
     with tempfile.TemporaryDirectory() as root:
         path = os.path.join(root, "config.json")
         with open(path, "w", encoding="utf-8") as f:
@@ -274,7 +272,7 @@ def test_fuzzed_config_trains_or_exits_2_leaving_nothing(changes, hostile, multi
         out = os.path.join(root, "ckpt")
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main(["train", "--config", path, "--out", out, *flags])
+            code = main(["train", "--config", path, "--out", out])
         left = sorted(os.listdir(root))
     assert code in (0, 2)
     assert left == (["ckpt", "ckpt.metrics.jsonl", "config.json"] if code == 0

@@ -58,11 +58,11 @@ def dense_logits(model, tokens):
     pos = np.tile(np.arange(seq_len), n_seqs)
     h = Tensor(base.tok_emb.data[tokens.reshape(-1)] + base.pos_emb.data[pos])
     for lw in base.layers:
-        x1 = layer_norm(h, lw.ln1_g, lw.ln1_b)
+        x1 = layer_norm(h)
         heads = causal_attention(lw.wq.apply(x1), lw.wk.apply(x1), lw.wv.apply(x1),
                                  n_seqs, n_heads)
         z = add(lw.wo.apply(heads), h)
-        x2 = layer_norm(z, lw.ln2_g, lw.ln2_b)
+        x2 = layer_norm(z)
         ffn = lw.ffn
         h = add(ffn.w2.apply(mul(silu(ffn.w1.apply(x2)), ffn.w3.apply(x2))), z)
     return base.head.apply(h)
@@ -170,9 +170,9 @@ def test_residual_structure(rng):
     out, _ = layer_forward(lw, la, model.blocks[0], h, "optimized", 1, SMALL.n_heads)
     from mixlora.model import attention_forward
 
-    x1 = layer_norm(h, lw.ln1_g, lw.ln1_b)
+    x1 = layer_norm(h)
     z = attention_forward(lw, la.attn, x1, 1, SMALL.n_heads).data + h.data
-    x2 = layer_norm(Tensor(z), lw.ln2_g, lw.ln2_b)
+    x2 = layer_norm(Tensor(z))
     fout, _ = model.blocks[0].forward(x2, "optimized")
     assert np.abs((out.data - z) - fout.data).max() < 1e-12
 

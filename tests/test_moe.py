@@ -13,13 +13,16 @@ from mixlora.moe import (
     aux_loss,
     expert_load_report,
     expert_load_std,
-    mixlora_forward,
     route,
 )
 from mixlora.numerics import (
     Tape, Tensor, _accum, _tape_for, add, backward, mul, silu, sum_all, take_rows,
 )
 from conftest import chain_lora_delta, fd_grad, max_rel_err
+
+
+def mode_of(shared_base: bool) -> str:
+    return "optimized" if shared_base else "vanilla"
 
 
 def random_block(rng, d=6, dff=10, n_experts=4, top_k=2, rank=2, alpha=4.0,
@@ -206,7 +209,7 @@ def dense_ffn(ffn, h):
 def test_vanilla_with_zero_adapters_is_plain_ffn(rng):
     block = random_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(12, 6)))
-    out, _ = mixlora_forward(block, h, shared_base=False)
+    out, _ = block.forward(h, "vanilla")
     plain = dense_ffn(block.ffn, h)
     assert np.abs(out.data - plain.data).max() < 1e-12
 
@@ -215,7 +218,7 @@ def test_two_experts_full_routing_averages_outputs(rng):
     block = random_block(rng, n_experts=2, top_k=2)
     block.router.wr.data[...] = 0.0  # symmetric logits: gates are 0.5/0.5
     h = Tensor(rng.normal(size=(6, 6)))
-    out, _ = mixlora_forward(block, h, shared_base=False)
+    out, _ = block.forward(h, "vanilla")
     avg = 0.5 * (naive_single_expert(block, h.data, 0)
                  + naive_single_expert(block, h.data, 1))
     assert np.abs(out.data - avg).max() < 1e-10
@@ -240,7 +243,7 @@ def naive_single_expert(block, h, k):
 def test_vanilla_matches_naive_loop_oracle(rng):
     block = random_block(rng)
     h = Tensor(rng.uniform(-1, 1, (20, 6)))
-    out, _ = mixlora_forward(block, h, shared_base=False)
+    out, _ = block.forward(h, "vanilla")
     assert np.abs(out.data - naive_mixlora(block, h.data)).max() < 1e-10
 
 
@@ -248,8 +251,8 @@ def test_optimized_matches_vanilla(rng):
     for n, k in ((2, 1), (4, 2), (8, 3), (1, 1)):
         block = random_block(rng, n_experts=n, top_k=k)
         h = Tensor(rng.uniform(-1, 1, (30, 6)))
-        out_v, st_v = mixlora_forward(block, h, shared_base=False)
-        out_o, st_o = mixlora_forward(block, h, shared_base=True)
+        out_v, st_v = block.forward(h, "vanilla")
+        out_o, st_o = block.forward(h, "optimized")
         assert np.abs(out_v.data - out_o.data).max() < 1e-9
         assert np.array_equal(st_v.dispatch_counts, st_o.dispatch_counts)
 
@@ -287,7 +290,7 @@ def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
         return out.data, [p.grad.copy() for p in params], h.grad
 
     def mixture(h, drop_rng):
-        out, stats = mixlora_forward(block, h, shared_base, training=True, rng=drop_rng)
+        out, stats = block.forward(h, mode_of(shared_base), training=True, rng=drop_rng)
         return out, aux_loss(stats, 1, 0.01)
 
     out_m, grads_m, dh_m = run(mixture)
@@ -304,7 +307,7 @@ def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
 def test_optimized_with_zero_adapters_is_plain_ffn(rng):
     block = random_block(rng, zero_adapters=True)
     h = Tensor(rng.normal(size=(9, 6)))
-    out, _ = mixlora_forward(block, h, shared_base=True)
+    out, _ = block.forward(h, "optimized")
     plain = dense_ffn(block.ffn, h)
     assert np.abs(out.data - plain.data).max() < 1e-12
 
@@ -365,8 +368,8 @@ def test_edge_routings_match_vanilla_and_oracle(rng, name):
     if forced is not None:
         block.router.wr.data[forced] = weight
     h = Tensor(rng.uniform(0.1, 1.0, (20, 6)))
-    out_v, stats = mixlora_forward(block, h, shared_base=False)
-    out_o, _ = mixlora_forward(block, h, shared_base=True)
+    out_v, stats = block.forward(h, "vanilla")
+    out_o, _ = block.forward(h, "optimized")
     if forced is not None:
         routed = int((stats.topk_indices == forced).any(axis=1).sum())
         assert routed == (20 if weight > 0 else 0)
@@ -407,11 +410,11 @@ def test_dropout_masks_follow_the_documented_draw_order(rng):
     block = random_block(rng, dropout_p=0.3)
     h = rng.uniform(-1, 1, (20, 6))
     expect = reference_dropout_forward(block, h, np.random.default_rng(7))
-    no_dropout, _ = mixlora_forward(block, Tensor(h), shared_base=True)
+    no_dropout, _ = block.forward(Tensor(h), "optimized")
     assert np.abs(no_dropout.data - expect).max() > 1e-2
     for shared_base in (False, True):
-        out, _ = mixlora_forward(block, Tensor(h), shared_base, training=True,
-                                 rng=np.random.default_rng(7))
+        out, _ = block.forward(Tensor(h), mode_of(shared_base), training=True,
+                               rng=np.random.default_rng(7))
         assert np.abs(out.data - expect).max() < 1e-10
 
 
@@ -467,7 +470,7 @@ def take_elems(a, rows, col):
 
 def chain_mixlora(block, h, shared_base, training, rng):
     """The routed mixture built from generic 2-D tape ops, one small chain per
-    expert, in the dispatch and dropout draw order of ``mixlora_forward``."""
+    expert, in the dispatch and dropout draw order of ``MixLoraBlock.forward``."""
     ffn = block.ffn
     gates, _, stats = route(block.router, h)
     sel = stats.topk_indices
@@ -530,7 +533,7 @@ def test_mixture_op_equals_the_op_chain_bit_for_bit(shared_base, dropout_p, dtyp
         return out.data, grads, h.grad
 
     out_op, grads_op, dh_op = run(
-        lambda h, drop: mixlora_forward(block, h, shared_base, True, drop)[0])
+        lambda h, drop: block.forward(h, mode_of(shared_base), True, drop)[0])
     out_ch, grads_ch, dh_ch = run(
         lambda h, drop: chain_mixlora(block, h, shared_base, True, drop))
     assert out_op.dtype == dtype and np.array_equal(out_op, out_ch)

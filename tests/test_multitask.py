@@ -155,6 +155,12 @@ def test_unknown_set_id_rejected(rng):
         multi_forward(engine, MultiTaskBatch(["ghost"], [batch_for(rng, CFG)]))
 
 
+def test_repeated_set_id_rejected(rng):
+    b = batch_for(rng, CFG)
+    with pytest.raises(ContractError, match="repeats a set id"):
+        MultiTaskBatch(["task0", "task0"], [b, b])
+
+
 # ---------------------------------------------------------------------------
 # memory census
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mixlora.errors import ConfigError, ContractError
-from mixlora.tasks import BOS, SEP, SyntheticTask, default_tasks, make_batch, mixed_batch
+from mixlora.tasks import (
+    BOS, SEP, SyntheticTask, default_tasks, make_batch, mixed_batch, sample_batch,
+)
 
 TASKS = default_tasks(train_count=96, test_count=32)
 
@@ -155,7 +157,20 @@ def test_mixed_batch_rejects_mixed_lengths_and_too_small_batches():
         mixed_batch([copy, short], datas, rng, 8)
     tasks = list(TASKS.values())
     datas = [t.generate(0).train for t in tasks]
-    with pytest.raises(ContractError, match="below task count"):
-        mixed_batch(tasks, datas, rng, len(tasks) - 1)
+    for batch_size in (len(tasks) - 1, 4 * len(tasks) + 2):
+        with pytest.raises(ContractError, match="not a positive multiple"):
+            mixed_batch(tasks, datas, rng, batch_size)
     batch = mixed_batch(tasks, datas, rng, len(tasks))
     assert batch.tokens.shape == (len(tasks), copy.seq_len)
+
+
+def test_one_task_mixed_batch_is_sample_batch():
+    copy = TASKS["copy"]
+    data = copy.generate(0).train
+    mixed_rng, sample_rng = np.random.default_rng(5), np.random.default_rng(5)
+    mixed = mixed_batch([copy], [data], mixed_rng, 6)
+    sample = sample_batch(copy, data, sample_rng, 6)
+    for name in ("tokens", "positions", "labels"):
+        got, want = getattr(mixed, name), getattr(sample, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert mixed_rng.bit_generator.state == sample_rng.bit_generator.state
