@@ -32,7 +32,7 @@ from .moe import (
     expert_load_std,
     route,
 )
-from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_forward, multi_train_step
+from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_forward
 from .numerics import Tape, Tensor, backward
 from .optim import Adam
 from .tasks import SyntheticTask, default_tasks, evaluate, make_batch, mixed_batch, sample_batch

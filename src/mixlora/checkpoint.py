@@ -10,8 +10,9 @@ The base is not stored: loading takes the process's resident base, or
 regenerates it from the seed (``model.resident_base``). The config fixes the
 payload's dtype and length, so the file stores neither.
 Reading checks, in order, so bad input fails before any large read or
-allocation: magic and version; cfg_len against the file size, then the config;
-the file size against the size that config implies; the CRC; finite values.
+allocation: magic and version; cfg_len against the file size and
+``MAX_CONFIG_BYTES``, then the config; the file size against the size that
+config implies; the CRC; finite values.
 The payload is read straight into the buffer the set adopts, so it is copied
 once. Loading then takes the base, refuses a base checksum mismatch, and only
 then builds the adapter set over that buffer: nothing is drawn and nothing is
@@ -32,7 +33,7 @@ from io import BufferedReader
 
 import numpy as np
 
-from .config import RunConfig, trainable_parameter_count
+from .config import MAX_CONFIG_BYTES, RunConfig, trainable_parameter_count
 from .errors import CheckpointError, ConfigError
 from .model import AdapterSet, FrozenBase, ToyModel, resident_base
 from .model import build_model  # perfbench's tracer wraps checkpoint.build_model by name
@@ -88,6 +89,9 @@ def _parse(f: BufferedReader, size: int) -> tuple[RunConfig, bytes, np.ndarray]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if cfg_len > size - 16:  # never read past the end, whatever cfg_len says
         raise CheckpointError("truncated checkpoint while reading its config")
+    if cfg_len > MAX_CONFIG_BYTES:  # nor more than a config file may hold
+        raise CheckpointError(f"checkpoint config of {cfg_len} bytes is larger than "
+                              f"{MAX_CONFIG_BYTES} bytes")
     try:
         config = RunConfig.from_json(f.read(cfg_len).decode("utf-8"))
     except UnicodeDecodeError as exc:

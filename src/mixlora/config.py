@@ -226,6 +226,8 @@ class RunConfig(ModelConfig):
             raw = json.loads(text)
         except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # nesting deeper than the parser's recursion limit
+            raise ConfigError("config is not valid JSON: nested too deeply") from exc
         return cls.from_dict(raw)
 
 

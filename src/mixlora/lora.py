@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import Tensor, _accum, _count_matmul, _tape_for, add, dropout_mask, matmul
+from .numerics import (Tensor, _accum, _count_matmul, _record, _tape_for, add, dropout_mask,
+                       matmul)
 
 
 class FrozenLinear:
@@ -98,41 +99,28 @@ def lora_backward(ad: LoraAdapter, x: np.ndarray, mask: np.ndarray | None,
     return dx if mask is None else dx * mask
 
 
-def lora_delta(
-    adapter: LoraAdapter,
-    x: Tensor,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """B ((alpha/rank) A drop(x)) as one tape op; dropout hits the adapter input only."""
+def lora_delta(adapter: LoraAdapter, x: Tensor,
+               rng: np.random.Generator | None = None) -> Tensor:
+    """B ((alpha/rank) A drop(x)) as one tape op; dropout, drawn from rng when
+    one is given, hits the adapter input only."""
     if x.ndim != 2 or x.shape[1] != adapter.d_in:
         raise DimensionError(f"lora_delta: input {x.shape} vs d_in {adapter.d_in}")
-    mask = dropout_mask(x.shape, x.dtype, adapter.dropout_p, rng, training)
+    mask = dropout_mask(x.shape, x.dtype, adapter.dropout_p, rng)
     u, delta = lora_forward(adapter, x.data, mask)
-    out = Tensor(delta)
-    tape = _tape_for(x, adapter.a, adapter.b)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, x=x, mask=mask, u=u):  # d/dx is None, and skipped, for a frozen x
-            _accum(x, lora_backward(adapter, x.data, mask, u, g, x.requires_grad))
+    def bwd(g, x=x, mask=mask, u=u):  # d/dx is None, and skipped, for a frozen x
+        _accum(x, lora_backward(adapter, x.data, mask, u, g, x.requires_grad))
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(delta), _tape_for(x, adapter.a, adapter.b), bwd)
 
 
-def adapted_forward(
-    base: FrozenLinear,
-    adapter: LoraAdapter,
-    x: Tensor,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+def adapted_forward(base: FrozenLinear, adapter: LoraAdapter, x: Tensor,
+                    rng: np.random.Generator | None = None) -> Tensor:
     """Frozen projection plus adapter delta: x @ W.T + delta(x)."""
     if base.d_in != adapter.d_in or base.d_out != adapter.d_out:
         raise DimensionError(
             f"adapter ({adapter.d_out}x{adapter.d_in}) does not match "
             f"base ({base.d_out}x{base.d_in})"
         )
-    return add(base.apply(x), lora_delta(adapter, x, training, rng))
+    return add(base.apply(x), lora_delta(adapter, x, rng))
 

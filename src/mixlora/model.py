@@ -254,12 +254,12 @@ class LossOutput:
 
 
 def attention_forward(lw: LayerWeights, attn_adapters: dict[str, LoraAdapter], x: Tensor,
-                      n_seqs: int, n_heads: int, training: bool = False,
+                      n_seqs: int, n_heads: int,
                       rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head causal self-attention with adapted q/k/v/o projections."""
 
     def project(frozen, name, inp):
-        return adapted_forward(frozen, attn_adapters[name], inp, training, rng)
+        return adapted_forward(frozen, attn_adapters[name], inp, rng)
 
     heads = causal_attention(project(lw.wq, "q", x), project(lw.wk, "k", x),
                              project(lw.wv, "v", x), n_seqs, n_heads)
@@ -267,13 +267,13 @@ def attention_forward(lw: LayerWeights, attn_adapters: dict[str, LoraAdapter], x
 
 
 def layer_forward(lw: LayerWeights, la: LayerAdapters, block: MixLoraBlock, h: Tensor,
-                  mode: str, n_seqs: int, n_heads: int, training: bool = False,
+                  mode: str, n_seqs: int, n_heads: int,
                   rng: np.random.Generator | None = None) -> tuple[Tensor, RoutingStats]:
     x1 = layer_norm(h)
-    attn = attention_forward(lw, la.attn, x1, n_seqs, n_heads, training, rng)
+    attn = attention_forward(lw, la.attn, x1, n_seqs, n_heads, rng)
     z = add(attn, h)
     x2 = layer_norm(z)
-    f, st = block.forward(x2, mode, training, rng)
+    f, st = block.forward(x2, mode, rng)
     return add(f, z), st
 
 
@@ -300,13 +300,13 @@ class ToyModel:
         flat = tokens.reshape(-1)
         pos = np.tile(np.arange(seq_len), n_seqs)
         h = Tensor(self.base.tok_emb.data[flat] + self.base.pos_emb.data[pos])
-        rng = self.adapters.dropout_rng
+        rng = self.adapters.dropout_rng if training else None
         stats: list[RoutingStats] = []
         layers = zip(self.base.layers, self.adapters.layers, self.blocks)
         for i, (lw, la, block) in enumerate(layers):
             with flop_labels(layer=i):
                 h, st = layer_forward(lw, la, block, h, mode, n_seqs,
-                                      self.config.n_heads, training, rng)
+                                      self.config.n_heads, rng)
             if not np.all(np.isfinite(h.data)):
                 raise NumericError(f"non-finite activations in layer {i}")
             stats.append(st)

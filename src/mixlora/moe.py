@@ -53,6 +53,7 @@ from .lora import lora_delta  # noqa: F401  (perfbench's tracer wraps moe.lora_d
 from .numerics import (
     Tensor,
     _accum,
+    _record,
     _sigmoid,
     _tape_for,
     dropout_mask,
@@ -208,10 +209,11 @@ class MixLoraBlock:
         self.n_experts = len(experts)
         self.layer_index = layer_index
 
-    def forward(self, h: Tensor, mode: str, training: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, RoutingStats]:
+    def forward(self, h: Tensor, mode: str, rng: np.random.Generator | None = None
+                ) -> tuple[Tensor, RoutingStats]:
         """Routed expert mixture over the rows of h: ``route``, then one tape
-        op (see the module docstring); mode "optimized" shares the base W1/W3."""
+        op (see the module docstring); mode "optimized" shares the base W1/W3.
+        Dropout is drawn from rng when one is given."""
         if mode not in MODES:
             raise ContractError(f"unknown forward mode {mode!r}")
         shared_base = mode == "optimized"
@@ -237,7 +239,7 @@ class MixLoraBlock:
             for e, a, b in segs:
                 tri, rows = triples[e], tok[a:b]
                 xe = x[rows]
-                m1, m3, m2 = (dropout_mask(shape, x.dtype, ad.dropout_p, rng, training)
+                m1, m3, m2 = (dropout_mask(shape, x.dtype, ad.dropout_p, rng)
                               for ad, shape in ((tri.w1, xe.shape), (tri.w3, xe.shape),
                                                 (tri.w2, (b - a, dff))))
                 with flop_labels(projection="w1", source="lora"):
@@ -268,7 +270,6 @@ class MixLoraBlock:
             out = Tensor(ys[inv].sum(axis=1))
         if tape is None:
             return out, stats
-        out.requires_grad = True
 
         def bwd(g):  # keeps tok, col, saved, y and gate
             gy = g[tok]
@@ -303,8 +304,7 @@ class MixLoraBlock:
                 dh += dh1_all @ ffn.w1.w.data
             _accum(h, dh)
 
-        tape._record(out, bwd)
-        return out, stats
+        return _record(out, tape, bwd), stats
 
 
 def expert_load_std(stats: RoutingStats) -> float:

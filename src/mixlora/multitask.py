@@ -19,7 +19,6 @@ import numpy as np
 from .checkpoint import adopt_set, read_records
 from .errors import CheckpointError, ContractError
 from .model import AdapterSet, Batch, ModelConfig, ToyModel, resident_base
-from .train import train_step
 
 
 @dataclass
@@ -89,13 +88,6 @@ def multi_forward(engine: MultiTaskEngine, batch: MultiTaskBatch,
         model = engine.model(set_id)
         out[set_id] = model.logits_at(b.tokens, b.positions, mode, training)
     return out
-
-
-def multi_train_step(engine: MultiTaskEngine, batch: MultiTaskBatch,
-                     mode: str = "optimized") -> dict[str, dict]:
-    """One update per set from its own slice only; the base never changes."""
-    return {set_id: train_step(engine.model(set_id), b, mode)
-            for set_id, b in zip(batch.set_ids, batch.slices)}
 
 
 def memory_census(engine: MultiTaskEngine) -> dict:

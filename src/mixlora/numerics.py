@@ -10,8 +10,10 @@ exactly the same shape, and anything else is a ``DimensionError``. No tensor
 has more than two dimensions: ``causal_attention`` alone reshapes to four,
 ``[sequences, heads, T, d_head]``, and only inside itself.
 
-Kernels with a hand-written backward elsewhere (``lora.py``, ``moe.py``) use
-``_tape_for``, ``_accum``, ``dropout_mask`` and ``_count_matmul``; the FLOPs
+Every op, here and in the hand-written kernels of ``lora.py`` and ``moe.py``,
+records through ``_record(out, _tape_for(inputs...), backward_fn)``: the one
+place that marks an output as needing grad and appends it to the tape. Those
+kernels also use ``_accum``, ``dropout_mask`` and ``_count_matmul``; the FLOPs
 they count carry whatever labels their caller set with ``flop_labels``.
 """
 
@@ -83,9 +85,6 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def _record(self, out: Tensor, backward_fn) -> None:
-        self.nodes.append((out, backward_fn))
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -97,6 +96,15 @@ def _tape_for(*tensors: Tensor) -> Tape | None:
     if any(t.requires_grad for t in tensors):
         return _TAPE_STACK[-1]
     return None
+
+
+def _record(out: Tensor, tape: Tape | None, backward_fn) -> Tensor:
+    """``out``; with a tape (from ``_tape_for``), first mark it as needing grad
+    and append ``(out, backward_fn)`` to the tape. The one way an op records."""
+    if tape is not None:
+        out.requires_grad = True
+        tape.nodes.append((out, backward_fn))
+    return out
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -168,19 +176,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     m, k = a.shape
     n = b.shape[1]
     _count_matmul(m, k, n)
-    out = Tensor(a.data @ b.data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a, b=b):  # a frozen weight's product is never formed
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                _accum(b, a.data.T @ g)
+    def bwd(g, a=a, b=b):  # a frozen weight's product is never formed
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data @ b.data), _tape_for(a, b), bwd)
 
 
 def _same_shape(a: Tensor, b: Tensor) -> None:
@@ -191,33 +194,23 @@ def _same_shape(a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors of the same shape."""
     _same_shape(a, b)
-    out = Tensor(a.data + b.data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a, b=b):
-            _accum(a, g)
-            _accum(b, g)
+    def bwd(g, a=a, b=b):
+        _accum(a, g)
+        _accum(b, g)
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data + b.data), _tape_for(a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two tensors of the same shape."""
     _same_shape(a, b)
-    out = Tensor(a.data * b.data)
-    tape = _tape_for(a, b)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a, b=b):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+    def bwd(g, a=a, b=b):
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data * b.data), _tape_for(a, b), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -236,16 +229,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def silu(a: Tensor) -> Tensor:
     """silu(x) = x * sigmoid(x)."""
     s = _sigmoid(a.data)
-    out = Tensor(a.data * s)
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a, s=s):
-            _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
+    def bwd(g, a=a, s=s):
+        _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data * s), _tape_for(a), bwd)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -260,16 +248,11 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:  # y = softmax(x)
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax over the last dimension."""
     y = _softmax(a.data)
-    out = Tensor(y)
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a, y=y):
-            _accum(a, _softmax_grad(y, g))
+    def bwd(g, a=a, y=y):
+        _accum(a, _softmax_grad(y, g))
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(y), _tape_for(a), bwd)
 
 
 def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
@@ -282,51 +265,36 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat)
-    tape = _tape_for(x)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, x=x, xhat=xhat, inv=inv):
-            dx = inv * (
-                g
-                - g.mean(axis=-1, keepdims=True)
-                - xhat * (g * xhat).mean(axis=-1, keepdims=True)
-            )
-            _accum(x, dx)
+    def bwd(g, x=x, xhat=xhat, inv=inv):
+        dx = inv * (
+            g
+            - g.mean(axis=-1, keepdims=True)
+            - xhat * (g * xhat).mean(axis=-1, keepdims=True)
+        )
+        _accum(x, dx)
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(xhat), _tape_for(x), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Full reduction to a 0-d scalar."""
-    out = Tensor(a.data.sum())
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a):
-            _accum(a, np.broadcast_to(g, a.shape).copy())
+    def bwd(g, a=a):
+        _accum(a, np.broadcast_to(g, a.shape).copy())
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data.sum()), _tape_for(a), bwd)
 
 
 def sum_axis0(a: Tensor) -> Tensor:
     """Column sums of a 2-D tensor -> 1-D."""
     if a.ndim != 2:
         raise DimensionError(f"sum_axis0: need 2-D, got {a.shape}")
-    out = Tensor(a.data.sum(axis=0))
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a):
-            _accum(a, np.broadcast_to(g, a.shape).copy())
+    def bwd(g, a=a):
+        _accum(a, np.broadcast_to(g, a.shape).copy())
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data.sum(axis=0)), _tape_for(a), bwd)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -334,36 +302,26 @@ def take_rows(a: Tensor, idx) -> Tensor:
     if a.ndim != 2:
         raise DimensionError(f"take_rows: need 2-D, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[idx])
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a, idx=idx):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            if np.unique(idx).size == idx.size:
-                a.grad[idx] += g  # no repeats, so the buffered add loses nothing
-            else:
-                np.add.at(a.grad, idx, g)
+    def bwd(g, a=a, idx=idx):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        if np.unique(idx).size == idx.size:
+            a.grad[idx] += g  # no repeats, so the buffered add loses nothing
+        else:
+            np.add.at(a.grad, idx, g)
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data[idx]), _tape_for(a), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise DimensionError(f"transpose: need 2-D, got {a.shape}")
-    out = Tensor(a.data.T)
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, a=a):
-            _accum(a, g.T)
+    def bwd(g, a=a):
+        _accum(a, g.T)
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data.T), _tape_for(a), bwd)
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_seqs: int,
@@ -399,20 +357,15 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_seqs: int,
     _count_matmul(n_seqs * n_heads * t, t, d_head)
     mask = np.triu(np.full((t, t), -np.inf, dtype=q.dtype), k=1)
     p = _softmax((qs @ swap(ks)) * inv_sqrt + mask)
-    out = Tensor(merge(p @ vs))
-    tape = _tape_for(q, k, v)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, q=q, k=k, v=v, p=p):
-            gs = split(g)
-            ds = _softmax_grad(p, gs @ swap(vs)) * inv_sqrt
-            _accum(q, merge(ds @ ks))
-            _accum(k, merge(swap(swap(qs) @ ds)))
-            _accum(v, merge(swap(p) @ gs))
+    def bwd(g, q=q, k=k, v=v, p=p):
+        gs = split(g)
+        ds = _softmax_grad(p, gs @ swap(vs)) * inv_sqrt
+        _accum(q, merge(ds @ ks))
+        _accum(k, merge(swap(swap(qs) @ ds)))
+        _accum(v, merge(swap(p) @ gs))
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(merge(p @ vs)), _tape_for(q, k, v), bwd)
 
 
 def topk_gates(probs: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
@@ -433,21 +386,16 @@ def topk_gates(probs: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
     gsel = selp / denom
     data = np.zeros_like(probs.data)
     np.put_along_axis(data, sel, gsel, axis=1)
-    out = Tensor(data)
-    tape = _tape_for(probs)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, probs=probs, sel=sel, selp=selp, denom=denom):
-            gg = np.take_along_axis(g, sel, axis=1)
-            dot = (gg * selp).sum(axis=1, keepdims=True)
-            dsel = (gg * denom - dot) / (denom * denom)
-            dp = np.zeros_like(probs.data)
-            np.put_along_axis(dp, sel, dsel, axis=1)
-            _accum(probs, dp)
+    def bwd(g, probs=probs, sel=sel, selp=selp, denom=denom):
+        gg = np.take_along_axis(g, sel, axis=1)
+        dot = (gg * selp).sum(axis=1, keepdims=True)
+        dsel = (gg * denom - dot) / (denom * denom)
+        dp = np.zeros_like(probs.data)
+        np.put_along_axis(dp, sel, dsel, axis=1)
+        _accum(probs, dp)
 
-        tape._record(out, bwd)
-    return out, sel
+    return _record(Tensor(data), _tape_for(probs), bwd), sel
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -468,28 +416,21 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     z = e.sum(axis=1, keepdims=True)
     p = e / z
     nll = (np.log(z[:, 0]) + mx[:, 0]) - x[np.arange(m_rows), labels]
-    out = Tensor(np.asarray(nll.mean(), dtype=x.dtype))
-    tape = _tape_for(logits)
-    if tape is not None:
-        out.requires_grad = True
 
-        def bwd(g, logits=logits, p=p, labels=labels, m_rows=m_rows):
-            d = p.copy()
-            d[np.arange(m_rows), labels] -= 1.0
-            _accum(logits, (g / m_rows) * d)
+    def bwd(g, logits=logits, p=p, labels=labels, m_rows=m_rows):
+        d = p.copy()
+        d[np.arange(m_rows), labels] -= 1.0
+        _accum(logits, (g / m_rows) * d)
 
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(np.asarray(nll.mean(), dtype=x.dtype)), _tape_for(logits), bwd)
 
 
-def dropout_mask(shape, dtype, p: float, rng: np.random.Generator | None,
-                 training: bool) -> np.ndarray | None:
-    """Inverted-dropout multipliers (0 or 1/(1-p)) drawn from rng when
-    training; None, drawing nothing, when nothing is dropped."""
-    if not training or p <= 0.0:
+def dropout_mask(shape, dtype, p: float, rng: np.random.Generator | None
+                 ) -> np.ndarray | None:
+    """Inverted-dropout multipliers (0 or 1/(1-p)) drawn from rng; None,
+    drawing nothing, without an rng (not training) or when nothing is dropped."""
+    if rng is None or p <= 0.0:
         return None
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout: p={p} outside [0, 1)")
-    if rng is None:
-        raise ContractError("dropout: rng required when training with p > 0")
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)

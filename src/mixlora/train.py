@@ -2,8 +2,8 @@
 
 ``train_step`` is the only place a step happens: forward under a tape,
 backward, a non-finite gradient check, then the optimizer update. ``train``
-calls it once per step and ``multitask.multi_train_step`` once per adapter
-set. It calls ``model_loss`` and ``backward`` through this module's globals,
+calls it once per step; a multi-task engine trains by calling it once per
+adapter set, on ``engine.model(set_id)``. It calls ``model_loss`` and ``backward`` through this module's globals,
 so wrapping them here instruments every step.
 """
 

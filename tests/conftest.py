@@ -35,11 +35,11 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray,
     return float((np.abs(a - n) / denom).max())
 
 
-def chain_lora_delta(adapter, x: Tensor, training=False, rng=None) -> Tensor:
+def chain_lora_delta(adapter, x: Tensor, rng=None) -> Tensor:
     """B ((alpha/rank) A drop(x)) as the chain of 2-D tape ops that
     ``lora_delta`` replaced: dropout mul, transpose, matmul, scale (a mul by a
     constant tensor, the same per-element products), transpose, matmul."""
-    mask = dropout_mask(x.shape, x.dtype, adapter.dropout_p, rng, training)
+    mask = dropout_mask(x.shape, x.dtype, adapter.dropout_p, rng)
     h = x if mask is None else mul(x, Tensor(mask))
     u = matmul(h, transpose(adapter.a))
     u = mul(u, Tensor(np.full(u.shape, adapter.scaling, dtype=u.dtype)))

@@ -8,6 +8,7 @@ import pytest
 from mixlora import bench, cli
 from mixlora.checkpoint import load_checkpoint
 from mixlora.cli import main
+from mixlora.config import MAX_CONFIG_BYTES
 from mixlora.tasks import default_tasks, evaluate
 
 # A one-expert, top-1 mixture: the plain LoRA baseline.
@@ -241,6 +242,13 @@ def test_bad_checkpoints_and_tasks_exit_2(tmp_path, ckpt, capsys):
     for path, task in bad:
         assert main(["eval", "--ckpt", path, "--task", task]) == 2, (path, task)
         assert capsys.readouterr().err.startswith("error: ")
+    # A config length the file has room for, but no config file may reach.
+    over = MAX_CONFIG_BYTES + 1
+    path = tmp_path / "cfg_len_over"
+    path.write_bytes(data[:8] + struct.pack("<Q", over) + bytes(over))
+    assert main(["eval", "--ckpt", str(path), "--task", "copy"]) == 2
+    assert capsys.readouterr().err == (f"error: checkpoint config of {over} bytes is larger "
+                                       f"than {MAX_CONFIG_BYTES} bytes\n")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -48,6 +48,9 @@ ILL_TYPED = [
     '{"tasks": "copy"}',
     '{"tasks": ["copy", 1]}',
     '{"seed": -1}',
+    # Nested past the JSON parser's recursion limit, yet under MAX_CONFIG_BYTES.
+    '[' * 30000 + ']' * 30000,
+    '{"a":' * 6000 + '1' + '}' * 6000,
 ]
 
 

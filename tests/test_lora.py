@@ -40,8 +40,8 @@ def test_rank_one_delta_by_hand():
 def test_delta_deterministic_without_dropout(rng):
     ad = make_adapter(rng)
     x = Tensor(rng.normal(size=(3, 6)))
-    first = lora_delta(ad, x, training=True, rng=None).data
-    second = lora_delta(ad, x, training=True, rng=None).data
+    first = lora_delta(ad, x, rng=None).data
+    second = lora_delta(ad, x, rng=None).data
     assert np.array_equal(first, second)
 
 
@@ -100,10 +100,10 @@ def test_shape_mismatch_errors(rng):
 def test_dropout_applies_only_in_training(rng):
     ad = make_adapter(rng, dropout_p=0.5)
     x = Tensor(np.ones((64, 6)))
-    eval_out = lora_delta(ad, x, training=False, rng=np.random.default_rng(0)).data
-    eval_out2 = lora_delta(ad, x, training=False, rng=np.random.default_rng(1)).data
+    eval_out = lora_delta(ad, x).data  # evaluation passes no rng
+    eval_out2 = lora_delta(ad, x, rng=None).data
     assert np.array_equal(eval_out, eval_out2)
-    train_out = lora_delta(ad, x, training=True, rng=np.random.default_rng(0)).data
+    train_out = lora_delta(ad, x, rng=np.random.default_rng(0)).data
     assert not np.array_equal(train_out, eval_out)
 
 
@@ -119,7 +119,7 @@ def test_delta_gradients_vs_finite_differences(rng, dropout_p):
     w = Tensor(rng.normal(size=(7, 5)))
 
     def build():  # the rng is re-seeded, so every evaluation draws the same masks
-        return sum_all(mul(lora_delta(ad, x, True, np.random.default_rng(5)), w))
+        return sum_all(mul(lora_delta(ad, x, np.random.default_rng(5)), w))
 
     tape = Tape()
     with tape:
@@ -144,7 +144,7 @@ def test_delta_op_equals_the_op_chain_bit_for_bit(dropout_p, dtype):
         x = Tensor(x_data.copy(), requires_grad=True)
         tape = Tape()
         with tape:  # x feeds the base first, so its gradient sums two terms
-            out = add(base.apply(x), delta(ad, x, True, np.random.default_rng(3)))
+            out = add(base.apply(x), delta(ad, x, np.random.default_rng(3)))
             loss = sum_all(mul(out, w))
         backward(tape, loss)
         return out.data, x.grad, ad.a.grad.copy(), ad.b.grad.copy()
@@ -161,7 +161,7 @@ def test_adapted_forward_records_three_nodes_or_two(rng):
     for requires_grad, nodes in ((True, 3), (False, 2)):
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=requires_grad)
         with Tape() as tape:
-            out = adapted_forward(base, ad, x, True, np.random.default_rng(0))
+            out = adapted_forward(base, ad, x, np.random.default_rng(0))
         assert len(tape.nodes) == nodes and tape.nodes[-1][0] is out
 
 

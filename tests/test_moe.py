@@ -16,7 +16,7 @@ from mixlora.moe import (
     route,
 )
 from mixlora.numerics import (
-    Tape, Tensor, _accum, _tape_for, add, backward, mul, silu, sum_all, take_rows,
+    Tape, Tensor, _accum, _record, _tape_for, add, backward, mul, silu, sum_all, take_rows,
 )
 from conftest import chain_lora_delta, fd_grad, max_rel_err
 
@@ -257,16 +257,16 @@ def test_optimized_matches_vanilla(rng):
         assert np.array_equal(st_v.dispatch_counts, st_o.dispatch_counts)
 
 
-def chain_adapted(frozen, adapter, x, training, rng):
-    return add(frozen.apply(x), chain_lora_delta(adapter, x, training, rng))
+def chain_adapted(frozen, adapter, x, rng):
+    return add(frozen.apply(x), chain_lora_delta(adapter, x, rng))
 
 
-def dense_lora_ffn(block, h, training, rng):
+def dense_lora_ffn(block, h, rng):
     """The plain LoRA baseline: one adapter triple on the frozen FFN, no router."""
     ffn, triple = block.ffn, block.experts[0]
-    h1 = chain_adapted(ffn.w1, triple.w1, h, training, rng)
-    h3 = chain_adapted(ffn.w3, triple.w3, h, training, rng)
-    return chain_adapted(ffn.w2, triple.w2, mul(silu(h1), h3), training, rng)
+    h1 = chain_adapted(ffn.w1, triple.w1, h, rng)
+    h3 = chain_adapted(ffn.w3, triple.w3, h, rng)
+    return chain_adapted(ffn.w2, triple.w2, mul(silu(h1), h3), rng)
 
 
 @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
@@ -290,12 +290,12 @@ def test_one_expert_block_is_the_dense_lora_ffn(shared_base, dropout_p):
         return out.data, [p.grad.copy() for p in params], h.grad
 
     def mixture(h, drop_rng):
-        out, stats = block.forward(h, mode_of(shared_base), training=True, rng=drop_rng)
+        out, stats = block.forward(h, mode_of(shared_base), rng=drop_rng)
         return out, aux_loss(stats, 1, 0.01)
 
     out_m, grads_m, dh_m = run(mixture)
     router_grad = block.router.wr.grad
-    out_d, grads_d, dh_d = run(lambda h, drop_rng: (dense_lora_ffn(block, h, True, drop_rng), None))
+    out_d, grads_d, dh_d = run(lambda h, drop_rng: (dense_lora_ffn(block, h, drop_rng), None))
     assert np.array_equal(out_m, out_d)
     for gm, gd in zip(grads_m, grads_d):
         assert np.array_equal(gm, gd)
@@ -413,8 +413,7 @@ def test_dropout_masks_follow_the_documented_draw_order(rng):
     no_dropout, _ = block.forward(Tensor(h), "optimized")
     assert np.abs(no_dropout.data - expect).max() > 1e-2
     for shared_base in (False, True):
-        out, _ = block.forward(Tensor(h), mode_of(shared_base), training=True,
-                               rng=np.random.default_rng(7))
+        out, _ = block.forward(Tensor(h), mode_of(shared_base), rng=np.random.default_rng(7))
         assert np.abs(out.data - expect).max() < 1e-10
 
 
@@ -424,51 +423,34 @@ def test_dropout_masks_follow_the_documented_draw_order(rng):
 
 
 def concat_rows(parts):
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    tape = _tape_for(*parts)
-    if tape is not None:
-        out.requires_grad = True
+    def bwd(g):
+        off = 0
+        for p in parts:
+            _accum(p, g[off:off + p.shape[0]])
+            off += p.shape[0]
 
-        def bwd(g):
-            off = 0
-            for p in parts:
-                _accum(p, g[off:off + p.shape[0]])
-                off += p.shape[0]
-
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(np.concatenate([p.data for p in parts], axis=0)),
+                   _tape_for(*parts), bwd)
 
 
 def scale_rows(x, s):
-    out = Tensor(x.data * s.data[:, None])
-    tape = _tape_for(x, s)
-    if tape is not None:
-        out.requires_grad = True
+    def bwd(g):
+        _accum(x, g * s.data[:, None])
+        _accum(s, (g * x.data).sum(axis=1))
 
-        def bwd(g):
-            _accum(x, g * s.data[:, None])
-            _accum(s, (g * x.data).sum(axis=1))
-
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(x.data * s.data[:, None]), _tape_for(x, s), bwd)
 
 
 def take_elems(a, rows, col):
-    out = Tensor(a.data[rows, col])
-    tape = _tape_for(a)
-    if tape is not None:
-        out.requires_grad = True
+    def bwd(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, (rows, col), g)
 
-        def bwd(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, (rows, col), g)
-
-        tape._record(out, bwd)
-    return out
+    return _record(Tensor(a.data[rows, col]), _tape_for(a), bwd)
 
 
-def chain_mixlora(block, h, shared_base, training, rng):
+def chain_mixlora(block, h, shared_base, rng):
     """The routed mixture built from generic 2-D tape ops, one small chain per
     expert, in the dispatch and dropout draw order of ``MixLoraBlock.forward``."""
     ffn = block.ffn
@@ -489,13 +471,13 @@ def chain_mixlora(block, h, shared_base, training, rng):
         tri = block.experts[e]
         xe = take_rows(h, rows)
         if shared_base:
-            h1 = add(take_rows(h1_all, rows), chain_lora_delta(tri.w1, xe, training, rng))
-            h3 = add(take_rows(h3_all, rows), chain_lora_delta(tri.w3, xe, training, rng))
+            h1 = add(take_rows(h1_all, rows), chain_lora_delta(tri.w1, xe, rng))
+            h3 = add(take_rows(h3_all, rows), chain_lora_delta(tri.w3, xe, rng))
         else:
-            h1 = chain_adapted(ffn.w1, tri.w1, xe, training, rng)
-            h3 = chain_adapted(ffn.w3, tri.w3, xe, training, rng)
+            h1 = chain_adapted(ffn.w1, tri.w1, xe, rng)
+            h3 = chain_adapted(ffn.w3, tri.w3, xe, rng)
         mid = mul(silu(h1), h3)
-        d2s.append(chain_lora_delta(tri.w2, mid, training, rng))
+        d2s.append(chain_lora_delta(tri.w2, mid, rng))
         mids.append(mid)
     y = add(ffn.w2.apply(concat_rows(mids)), concat_rows(d2s))
     y = scale_rows(y, take_elems(gates, tok, flat[order]))
@@ -533,9 +515,9 @@ def test_mixture_op_equals_the_op_chain_bit_for_bit(shared_base, dropout_p, dtyp
         return out.data, grads, h.grad
 
     out_op, grads_op, dh_op = run(
-        lambda h, drop: block.forward(h, mode_of(shared_base), True, drop)[0])
+        lambda h, drop: block.forward(h, mode_of(shared_base), drop)[0])
     out_ch, grads_ch, dh_ch = run(
-        lambda h, drop: chain_mixlora(block, h, shared_base, True, drop))
+        lambda h, drop: chain_mixlora(block, h, shared_base, drop))
     assert out_op.dtype == dtype and np.array_equal(out_op, out_ch)
     assert np.array_equal(dh_op, dh_ch)
     assert all(g is None for g in grads_op[-6:])  # expert 4's three A/B pairs

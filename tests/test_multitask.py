@@ -21,8 +21,8 @@ from mixlora.multitask import (
     MultiTaskEngine,
     memory_census,
     multi_forward,
-    multi_train_step,
 )
+from mixlora.train import train_step
 
 CFG = ModelConfig(
     vocab_size=48, d_model=16, n_heads=2, d_ff=24, n_layers=2, n_experts=4,
@@ -101,7 +101,7 @@ def test_cross_task_gradients_are_exactly_zero(rng):
     b0 = batch_for(rng, CFG)
     other = engine.sets["task1"]
     other_before = other.data.copy()
-    multi_train_step(engine, MultiTaskBatch(["task0"], [b0]))
+    train_step(engine.model("task0"), b0)
     # set 1 was not in the batch: its grads read zero and its weights did not move
     assert not other.grad.any()
     assert np.array_equal(other.data, other_before)
@@ -113,13 +113,10 @@ def test_training_trajectories_match_standalone(rng):
     batches = [[batch_for(data_rng, CFG) for _ in range(2)] for _ in range(5)]
     losses = []
     for step_batches in batches:
-        losses.append(
-            multi_train_step(engine, MultiTaskBatch(list(engine.sets), step_batches))
-        )
+        losses.append({sid: train_step(engine.model(sid), b)
+                       for sid, b in zip(engine.sets, step_batches)})
     for i, sid in enumerate(engine.sets):
         solo = standalone_model(engine, sid)
-        from mixlora.train import train_step
-
         for step_batches in batches:
             res = train_step(solo, step_batches[i])
         for (_, a), (_, b) in zip(engine.sets[sid].named_parameters(),
@@ -131,7 +128,7 @@ def test_training_trajectories_match_standalone(rng):
 def test_step_zero_losses_match_standalone(rng):
     engine = make_engine(n_sets=2, seed=21, lr=0.0)
     batches = [batch_for(rng, CFG), batch_for(rng, CFG)]
-    losses = multi_train_step(engine, MultiTaskBatch(list(engine.sets), batches))
+    losses = {sid: train_step(engine.model(sid), b) for sid, b in zip(engine.sets, batches)}
     from mixlora.model import model_loss
 
     for sid, b in zip(engine.sets, batches):

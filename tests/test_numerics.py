@@ -24,6 +24,7 @@ from mixlora.numerics import (
     topk_gates,
     transpose,
 )
+from mixlora.lora import LoraAdapter, lora_delta
 from conftest import fd_grad, max_rel_err
 
 
@@ -225,10 +226,43 @@ def test_backward_never_mutates_forward_data(rng):
     assert np.array_equal(y.data, snap_y)
 
 
-def test_no_recording_without_tape(rng):
-    x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    y = matmul(x, x)
-    assert not y.requires_grad
+# Every op that records, as (input shapes, op of those inputs).
+RECORDING_OPS = {
+    "matmul": ([(2, 2), (2, 2)], matmul),
+    "add": ([(2, 2), (2, 2)], add),
+    "mul": ([(2, 2), (2, 2)], mul),
+    "silu": ([(2, 2)], silu),
+    "softmax_lastdim": ([(2, 2)], softmax_lastdim),
+    "layer_norm": ([(2, 2)], layer_norm),
+    "sum_all": ([(2, 2)], sum_all),
+    "sum_axis0": ([(2, 2)], sum_axis0),
+    "take_rows": ([(2, 2)], lambda a: take_rows(a, [1, 0, 1])),
+    "transpose": ([(2, 2)], transpose),
+    "causal_attention": ([(2, 2)] * 3, lambda q, k, v: causal_attention(q, k, v, 1, 1)),
+    "topk_gates": ([(2, 2)], lambda p: topk_gates(p, 1)[0]),
+    "cross_entropy": ([(2, 2)], lambda z: cross_entropy(z, [0, 1])),
+    "lora_delta": ([(2, 2), (1, 2), (2, 1)],
+                   lambda x, a, b: lora_delta(LoraAdapter(a, b, 1, 1.0), x)),
+}
+
+
+def test_no_recording_without_tape():
+    """The record contract of every op: no tape or only frozen inputs record
+    nothing; one input that requires grad records exactly the returned tensor."""
+    for name, (shapes, op) in RECORDING_OPS.items():
+        def inputs(grad_at=None):
+            return [Tensor(np.linspace(-1.0, 1.0, math.prod(s)).reshape(s),
+                           requires_grad=i == grad_at) for i, s in enumerate(shapes)]
+
+        assert not op(*inputs(grad_at=0)).requires_grad, name
+        with Tape() as tape:
+            out = op(*inputs())
+        assert tape.nodes == [] and not out.requires_grad, name
+        for i in range(len(shapes)):
+            with Tape() as tape:
+                out = op(*inputs(grad_at=i))
+            assert len(tape.nodes) == 1 and tape.nodes[0][0] is out, (name, i)
+            assert out.requires_grad, (name, i)
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +411,22 @@ def test_cross_entropy_label_bounds():
 def test_dropout_identity_when_eval_or_zero(rng):
     # No mask and no draw: the rng state is left as it was.
     state = rng.bit_generator.state
-    assert dropout_mask((3, 3), np.float64, 0.5, rng, training=False) is None
-    assert dropout_mask((3, 3), np.float64, 0.0, rng, training=True) is None
-    assert dropout_mask((3, 3), np.float64, 0.0, None, training=True) is None
+    assert dropout_mask((3, 3), np.float64, 0.5, None) is None
+    assert dropout_mask((3, 3), np.float64, 0.0, rng) is None
+    assert dropout_mask((3, 3), np.float64, 0.0, None) is None
     assert rng.bit_generator.state == state
 
 
 def test_dropout_scales_kept_entries():
     for dtype in (np.float32, np.float64):
-        mask = dropout_mask((200, 10), dtype, 0.25, np.random.default_rng(0), training=True)
+        mask = dropout_mask((200, 10), dtype, 0.25, np.random.default_rng(0))
         assert mask.dtype == dtype
         assert set(np.unique(mask).tolist()) == {0.0, float(dtype(1.0) / dtype(0.75))}
         assert abs((mask == 0).mean() - 0.25) < 0.03
 
 
 @pytest.mark.parametrize("p, rng", [(1.0, np.random.default_rng(0)),
-                                    (1.5, np.random.default_rng(0)),
-                                    (0.5, None)])
+                                    (1.5, np.random.default_rng(0))])
 def test_dropout_mask_contract_errors(p, rng):
     with pytest.raises(ContractError):
-        dropout_mask((2, 2), np.float64, p, rng, training=True)
+        dropout_mask((2, 2), np.float64, p, rng)

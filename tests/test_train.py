@@ -7,7 +7,7 @@ import pytest
 from mixlora.config import RunConfig
 from mixlora.errors import NumericError
 from mixlora.model import Batch
-from mixlora.multitask import MultiTaskBatch, MultiTaskEngine, multi_train_step
+from mixlora.multitask import MultiTaskEngine
 from conftest import assert_flat_views
 
 # The package re-exports the train() function under the submodule's name.
@@ -50,15 +50,16 @@ def test_train_rejects_a_non_finite_gradient(monkeypatch):
         train_mod.train(CFG)
 
 
-def test_multi_train_step_rejects_a_non_finite_gradient(monkeypatch, rng):
+def test_train_step_on_an_engine_set_rejects_a_non_finite_gradient(monkeypatch, rng):
     engine = MultiTaskEngine(CFG.model(), seed=CFG.seed)
     engine.add_set("a")
     engine.add_set("b")
     poison_after_backward(monkeypatch, lambda: engine.sets["b"])
     before = engine.sets["b"].data.copy()
-    batch = MultiTaskBatch(["a", "b"], [small_batch(rng), small_batch(rng)])
+    batches = [small_batch(rng), small_batch(rng)]
     with pytest.raises(NumericError, match="non-finite gradient"):
-        multi_train_step(engine, batch)
+        for set_id, b in zip(["a", "b"], batches):
+            train_mod.train_step(engine.model(set_id), b)
     assert np.array_equal(engine.sets["b"].data, before)
 
 
