@@ -1,7 +1,7 @@
 """Sparse mixture of LoRA experts over a shared frozen FFN, desk scale."""
 
 from .bench import FlopLedger, base_flop_ratio, count_flops, run_bench
-from .config import RunConfig, load_config
+from .config import ModelConfig, RunConfig, load_config, trainable_parameter_count
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (
     CheckpointError,
@@ -11,16 +11,7 @@ from .errors import (
     NumericError,
 )
 from .lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta
-from .model import (
-    AdapterSet,
-    Batch,
-    FrozenBase,
-    ModelConfig,
-    ToyModel,
-    build_model,
-    model_loss,
-    trainable_parameter_count,
-)
+from .model import AdapterSet, FrozenBase, ToyModel, build_model, model_loss
 from .moe import (
     ExpertTriple,
     MixLoraBlock,
@@ -35,7 +26,7 @@ from .moe import (
 from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_forward
 from .numerics import Tape, Tensor, backward
 from .optim import Adam
-from .tasks import SyntheticTask, default_tasks, evaluate, make_batch, mixed_batch, sample_batch
-from .train import evaluate_tasks, train, train_step
+from .tasks import Batch, SyntheticTask, default_tasks, make_batch, mixed_batch, sample_batch
+from .train import evaluate, evaluate_tasks, train, train_step
 
 __version__ = "0.1.0"

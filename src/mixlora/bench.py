@@ -21,14 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ModelConfig, RunConfig
 from .errors import ContractError
-from .model import ModelConfig, build_model
+from .model import build_model
 from .moe import MODES
 from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_forward
 from .numerics import set_flop_hook
 from .tasks import mixed_batch, sample_batch
-from .train import check_batching, task_suite, train_step
+from .train import task_suite, train_step
 
 BASE, LORA, ROUTER = "base", "lora", "router"
 # Bound on timed_iters: 50x the default of 20 rounds. A round (both ops in both
@@ -118,7 +118,7 @@ def verify_mode_equivalence(logits_of, tol: float = 1e-4) -> float:
 def run_bench(config: RunConfig, timed_iters: int = 20) -> dict:
     """Both modes of ``train_step`` and of a serve call, timed in float32.
 
-    Batching and ``timed_iters`` are checked before any task data or model
+    The config and ``timed_iters`` are checked before any task data or model
     exists. One untimed call per (op, mode) warms up; the train steps make
     the adapters' B nonzero, and the serve sets take the trained buffer. Both
     ops must then give the same logits in both modes. Each of ``timed_iters``
@@ -126,7 +126,7 @@ def run_bench(config: RunConfig, timed_iters: int = 20) -> dict:
     between rounds, so host drift slows both modes alike. ``cli``'s docstring
     gives the output schema.
     """
-    check_batching(config, multitask=True)
+    config.validate()
     if not 1 <= timed_iters <= MAX_ITERS:
         raise ContractError(f"timed_iters must be in [1, {MAX_ITERS}], got {timed_iters}")
     tasks, datas = task_suite(config)

@@ -4,9 +4,11 @@ Subcommands: train, eval, bench, sweep.
 Exit codes: 0 ok, 2 usage/config/checkpoint problems, 3 numeric failure.
 
 ``train`` mixes every configured task into each batch, in equal shares, so
-``batch_size`` must be a multiple of the task count; one task trains alone.
+``batch_size`` must be a multiple of the task count (``RunConfig.validate``).
 
-``eval`` prints one JSON object {task, accuracy, expert_load_std, records}.
+``eval`` checks the task against the checkpoint's config, validating it with
+``tasks`` set to that one task, and prints one JSON object
+{task, accuracy, expert_load_std, records}.
 ``records`` is the routing report: one record per (layer, expert),
 {task, layer, expert_id, F, P, std}, where F is the share of held-out tokens
 whose argmax expert it is, P its mean router probability and std the
@@ -43,8 +45,8 @@ from .bench import run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .tasks import default_tasks, required_vocab
-from .train import check_batching, evaluate_tasks, train
+from .tasks import default_tasks
+from .train import evaluate_tasks, train
 
 SWEEP_AXES = {
     "aux_coef": (0.0, 1e-3, 1e-2, 1e-1),
@@ -78,14 +80,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    check_batching(config, multitask=True)
     metrics_path = args.out + ".metrics.jsonl"
     try:
         log = open(metrics_path, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write metrics {metrics_path}: {exc}") from exc
     with log:
-        model, metrics = train(config, multitask=True,
+        model, metrics = train(config,
                                log_cb=lambda entry: log.write(json.dumps(entry) + "\n"))
     save_checkpoint(args.out, config, model)
     summary = {
@@ -104,12 +105,8 @@ def cmd_eval(args) -> int:
     if args.task not in registry:
         raise ConfigError(f"unknown task {args.task!r}; known: {sorted(registry)}")
     config, model = load_checkpoint(args.ckpt)
-    if config.vocab_size < required_vocab([registry[args.task]]):
-        raise ConfigError(
-            f"checkpoint vocab_size {config.vocab_size} cannot encode task "
-            f"{args.task!r}"
-        )
-    report = evaluate_tasks(model, config, [args.task])[args.task]
+    config = dataclasses.replace(config, tasks=(args.task,)).validate()
+    report = evaluate_tasks(model, config)[args.task]
     print(json.dumps({"task": args.task, **report}))
     return 0
 
@@ -122,15 +119,13 @@ def cmd_bench(args) -> int:
 def sweep_configs(config: RunConfig, axis: str) -> list[RunConfig]:
     """One config per axis point; all are checked before any point trains."""
     name = "aux_coef" if axis == "aux_coef" else "lora_rank"
-    points = [dataclasses.replace(config, **{name: value}) for value in SWEEP_AXES[axis]]
-    for point in points:
-        check_batching(point.validate(), multitask=True)
-    return points
+    return [dataclasses.replace(config, **{name: value}).validate()
+            for value in SWEEP_AXES[axis]]
 
 
 def sweep_point(config: RunConfig, axis: str, value) -> dict:
     """Train and evaluate one sweep point (top-level for process pools)."""
-    model, metrics = train(config, multitask=True)
+    model, metrics = train(config)
     results = evaluate_tasks(model, config)
     accs = [r["accuracy"] for r in results.values()]
     stds = [float(np.mean(r["expert_load_std"])) for r in results.values()]

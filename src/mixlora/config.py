@@ -13,6 +13,10 @@ allocation. ``lora_alpha``, ``aux_coef`` and ``lr`` are bounded below the
 values that overflow the optimizer state or the activations, and ``steps`` by
 ``MAX_STEPS``, so no run goes on without end. ``load_config`` reads at most
 ``MAX_CONFIG_BYTES`` bytes, so a huge file or a device never fills memory.
+
+``RunConfig.validate`` owns both rules about a run's tasks: each task is known
+and fits ``vocab_size`` and ``max_seq_len``, and ``batch_size`` is a multiple
+of the task count, since every batch mixes all tasks in equal shares.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .moe import MODES
+from .tasks import default_tasks, required_vocab
 
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 MAX_ELEMENTS = 2**31  # frozen base plus one adapter set; one step's largest array
@@ -177,8 +182,9 @@ class RunConfig(ModelConfig):
             raise ConfigError(f"precision must be f32 or f64, got {self.precision!r}")
         if not self.tasks:
             raise ConfigError("tasks must not be empty")
-        from .tasks import default_tasks, required_vocab
-
+        if self.batch_size % len(self.tasks):
+            raise ConfigError(f"batch_size {self.batch_size} is not a multiple of the "
+                              f"task count {len(self.tasks)}")
         registry = default_tasks()
         for name in self.tasks:
             if name not in registry:

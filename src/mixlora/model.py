@@ -43,6 +43,7 @@ from .numerics import (
     take_rows,
 )
 from .optim import Adam
+from .tasks import Batch
 
 INIT_STD = 0.02  # stand-in "pretrained" weight scale
 ADAPTER_INIT_STD = 0.02  # standard deviation of every A and router weight drawn at init
@@ -234,15 +235,6 @@ class AdapterSet:
 # ---------------------------------------------------------------------------
 # Forward
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Batch:
-    """Token sequences plus flat target positions/labels into [B*T] rows."""
-
-    tokens: np.ndarray      # [B, T] int
-    positions: np.ndarray   # [P] flat row indices with a loss
-    labels: np.ndarray      # [P] target token ids
 
 
 @dataclass

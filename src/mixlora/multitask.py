@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import adopt_set, read_records
+from .config import ModelConfig
 from .errors import CheckpointError, ContractError
-from .model import AdapterSet, Batch, ModelConfig, ToyModel, resident_base
+from .model import AdapterSet, ToyModel, resident_base
+from .tasks import Batch
 
 
 @dataclass

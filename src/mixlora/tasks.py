@@ -11,6 +11,9 @@ Sequence layouts (m = payload length):
 Accuracy is multiple-choice: argmax over the task's candidate ids at each
 target position.
 
+This module builds data only and imports no model code, just ``errors``;
+``train.evaluate`` runs a model over a split.
+
 Generation contract (``SyntheticTask.generate``): payloads are drawn in rounds
 from ``default_rng([seed, 3, sym_lo, payload_len])``. Each round draws
 ``total - filled`` rows, where ``total = train_count + test_count``, and keeps
@@ -26,13 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .model import Batch, ToyModel
-from .moe import RoutingStats
 
 BOS = 1
 SEP = 2
 SYMBOL_BASE = 3
-EVAL_BATCH_SIZE = 256  # held-out sequences per forward in evaluate
 
 KINDS = ("copy", "reverse", "shift-by-k", "parity-classify")
 
@@ -144,6 +144,15 @@ class SyntheticTask:
 
 
 @dataclass
+class Batch:
+    """Token sequences plus flat target positions/labels into [B*T] rows."""
+
+    tokens: np.ndarray      # [B, T] int
+    positions: np.ndarray   # [P] flat row indices with a loss
+    labels: np.ndarray      # [P] target token ids
+
+
+@dataclass
 class TaskData:
     task: SyntheticTask
     train: tuple[np.ndarray, np.ndarray]  # (tokens [n,T], labels [n,P])
@@ -213,24 +222,3 @@ def mixed_batch(tasks: list[SyntheticTask], datas: list[tuple[np.ndarray, np.nda
         labels=np.concatenate(lab_parts),
     )
 
-
-def evaluate(model: ToyModel, task: SyntheticTask,
-             data: tuple[np.ndarray, np.ndarray], mode: str = "optimized"
-             ) -> tuple[float, list[RoutingStats]]:
-    """Accuracy over a dataset plus merged per-layer routing stats."""
-    tokens, labels = data
-    n = tokens.shape[0]
-    cand = task.candidate_ids
-    correct = 0
-    total = 0
-    batch_stats: list[list[RoutingStats]] = []
-    for start in range(0, n, EVAL_BATCH_SIZE):
-        rows = np.arange(start, min(start + EVAL_BATCH_SIZE, n))
-        batch = make_batch(task, tokens, labels, rows)
-        logits, stats = model.logits_at(batch.tokens, batch.positions, mode,
-                                        training=False)
-        picked = cand[np.argmax(logits.data[:, cand], axis=1)]
-        correct += int((picked == batch.labels).sum())
-        total += batch.labels.size
-        batch_stats.append(stats)
-    return correct / total, [RoutingStats.merge(list(parts)) for parts in zip(*batch_stats)]

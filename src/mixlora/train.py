@@ -3,8 +3,14 @@
 ``train_step`` is the only place a step happens: forward under a tape,
 backward, a non-finite gradient check, then the optimizer update. ``train``
 calls it once per step; a multi-task engine trains by calling it once per
-adapter set, on ``engine.model(set_id)``. It calls ``model_loss`` and ``backward`` through this module's globals,
-so wrapping them here instruments every step.
+adapter set, on ``engine.model(set_id)``. It calls ``model_loss`` and
+``backward`` through this module's globals, so wrapping them here instruments
+every step.
+
+``train`` forms every batch with ``mixed_batch``, an equal share of each
+configured task (one task gives exactly ``sample_batch``'s batch). Its
+``multitask`` keyword stays only because ``perfbench`` passes
+``multitask=True``; ``False`` is refused.
 """
 
 from __future__ import annotations
@@ -12,11 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, NumericError
-from .model import Batch, ToyModel, build_model, model_loss
-from .moe import expert_load_report, expert_load_std
+from .errors import ContractError, NumericError
+from .model import ToyModel, build_model, model_loss
+from .moe import RoutingStats, expert_load_report, expert_load_std
 from .numerics import Tape, backward
-from .tasks import SyntheticTask, TaskData, default_tasks, evaluate, mixed_batch, sample_batch
+from .tasks import Batch, SyntheticTask, TaskData, default_tasks, make_batch, mixed_batch
+
+EVAL_BATCH_SIZE = 256  # held-out sequences per forward in evaluate
 
 
 def task_suite(config: RunConfig) -> tuple[list[SyntheticTask], list[TaskData]]:
@@ -24,20 +32,6 @@ def task_suite(config: RunConfig) -> tuple[list[SyntheticTask], list[TaskData]]:
     tasks = [registry[name] for name in config.tasks]
     datas = [t.generate(config.seed) for t in tasks]
     return tasks, datas
-
-
-def check_batching(config: RunConfig, multitask: bool) -> None:
-    """Raise ``ConfigError`` unless ``train(config, multitask)`` can form its
-    batches: one task alone, or an equal share of every task per mixed batch."""
-    n_tasks = len(config.tasks)
-    if not multitask and n_tasks != 1:
-        raise ConfigError(
-            "single-task training needs exactly one task; pass multitask=True "
-            f"for the {n_tasks}-task suite"
-        )
-    if multitask and config.batch_size % n_tasks:
-        raise ConfigError(f"batch_size {config.batch_size} is not a multiple of the "
-                          f"task count {n_tasks}")
 
 
 def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
@@ -65,25 +59,22 @@ def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
     }
 
 
-def train(config: RunConfig, multitask: bool = False,
+def train(config: RunConfig, multitask: bool = True,
           log_cb=None) -> tuple[ToyModel, list[dict]]:
-    """Train one adapter set; multitask mixes every configured task per batch.
+    """Train one adapter set on batches that mix every configured task.
 
     Returns the model and one metrics record per step:
     {step, task_loss, aux_loss, total_loss, expert_load: [[F per expert] per layer]}.
     """
+    if not multitask:
+        raise ContractError("train mixes every configured task; multitask=False is refused")
     config.validate()
-    check_batching(config, multitask)
     tasks, datas = task_suite(config)
     model = build_model(config.model(), seed=config.seed, dtype=config.dtype, lr=config.lr)
     batch_rng = np.random.default_rng([config.seed, 6])
     metrics: list[dict] = []
     for step in range(config.steps):
-        if multitask:
-            batch = mixed_batch(tasks, [d.train for d in datas], batch_rng,
-                                config.batch_size)
-        else:
-            batch = sample_batch(tasks[0], datas[0].train, batch_rng, config.batch_size)
+        batch = mixed_batch(tasks, [d.train for d in datas], batch_rng, config.batch_size)
         out = train_step(model, batch, config.mode)
         entry = {
             "step": step,
@@ -98,14 +89,34 @@ def train(config: RunConfig, multitask: bool = False,
     return model, metrics
 
 
-def evaluate_tasks(model: ToyModel, config: RunConfig,
-                   task_names: list[str] | None = None) -> dict[str, dict]:
-    """Held-out accuracy and routing report per task:
+def evaluate(model: ToyModel, task: SyntheticTask,
+             data: tuple[np.ndarray, np.ndarray], mode: str = "optimized"
+             ) -> tuple[float, list[RoutingStats]]:
+    """Accuracy over a dataset plus merged per-layer routing stats."""
+    tokens, labels = data
+    n = tokens.shape[0]
+    cand = task.candidate_ids
+    correct = 0
+    total = 0
+    batch_stats: list[list[RoutingStats]] = []
+    for start in range(0, n, EVAL_BATCH_SIZE):
+        rows = np.arange(start, min(start + EVAL_BATCH_SIZE, n))
+        batch = make_batch(task, tokens, labels, rows)
+        logits, stats = model.logits_at(batch.tokens, batch.positions, mode,
+                                        training=False)
+        picked = cand[np.argmax(logits.data[:, cand], axis=1)]
+        correct += int((picked == batch.labels).sum())
+        total += batch.labels.size
+        batch_stats.append(stats)
+    return correct / total, [RoutingStats.merge(list(parts)) for parts in zip(*batch_stats)]
+
+
+def evaluate_tasks(model: ToyModel, config: RunConfig) -> dict[str, dict]:
+    """Held-out accuracy and routing report per configured task:
     {accuracy, expert_load_std: [per layer], records: ``expert_load_report`` rows}."""
     registry = default_tasks()
-    names = list(task_names or config.tasks)
     out = {}
-    for name in names:
+    for name in config.tasks:
         task = registry[name]
         data = task.generate(config.seed)
         acc, stats = evaluate(model, task, data.test, config.mode)

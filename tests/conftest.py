@@ -1,8 +1,9 @@
-"""Shared test helpers: finite-difference oracle, error metrics and the LoRA
-delta as a chain of generic tape ops."""
+"""Shared test helpers: finite-difference oracle, error metrics, the LoRA
+delta as a chain of generic tape ops and the checkpoint byte-flip strategy."""
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mixlora.numerics import Tensor, dropout_mask, matmul, mul, transpose
 
@@ -59,6 +60,18 @@ def assert_flat_views(aset) -> None:
             assert address(arr) == address(buf) + off * buf.itemsize, name
         off += t.data.size
     assert off == aset.data.size == aset.grad.size
+
+
+# One to three (offset, xor mask) pairs; the offset wraps at the file length.
+BYTE_FLIPS = st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
+                      min_size=1, max_size=3)
+
+
+def flip_bytes(data: bytes, flips) -> bytes:
+    out = bytearray(data)
+    for at, mask in flips:
+        out[at % len(out)] ^= mask
+    return bytes(out)
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mixlora import checkpoint
 from mixlora.checkpoint import load_checkpoint, named_model_tensors, read_records, save_checkpoint
@@ -20,6 +19,7 @@ from mixlora.errors import CheckpointError, ConfigError
 from mixlora.lora import FrozenLinear
 from mixlora.model import AdapterSet, FrozenBase, ToyModel, build_model, resident_base
 from mixlora.train import train
+from conftest import BYTE_FLIPS, flip_bytes
 
 TINY = RunConfig(
     vocab_size=16, d_model=4, n_heads=1, d_ff=4, n_layers=1, n_experts=2, top_k=1,
@@ -172,15 +172,11 @@ def fuzz_target(tmp_path_factory):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
-                      min_size=1, max_size=3))
+@given(flips=BYTE_FLIPS)
 def test_flipped_bytes_fail_or_load_bit_identically(fuzz_target, flips):
     root, good, model = fuzz_target
-    data = bytearray(good)
-    for at, mask in flips:
-        data[at % len(data)] ^= mask
     path = root / "flipped"
-    path.write_bytes(bytes(data))
+    path.write_bytes(flip_bytes(good, flips))
     try:
         config, loaded = load_checkpoint(str(path))
     except CheckpointError:

@@ -1,15 +1,24 @@
 """Every subcommand through ``cli.main(argv)``: exit 0 on good input, 2 on bad."""
 
+import contextlib
+import io
 import json
+import re
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixlora import bench, cli
-from mixlora.checkpoint import load_checkpoint
+from mixlora.checkpoint import load_checkpoint, save_checkpoint
 from mixlora.cli import main
-from mixlora.config import MAX_CONFIG_BYTES
-from mixlora.tasks import default_tasks, evaluate
+from mixlora.config import MAX_CONFIG_BYTES, RunConfig
+from mixlora.errors import ConfigError
+from mixlora.model import build_model
+from mixlora.tasks import default_tasks
+from mixlora.train import evaluate
+from conftest import BYTE_FLIPS, flip_bytes
 
 # A one-expert, top-1 mixture: the plain LoRA baseline.
 TINY = {
@@ -69,12 +78,15 @@ FOUR_TASKS = {"vocab_size": 32, "tasks": ["copy", "reverse", "shift", "parity"]}
                          ids=["batch-below-task-count", "batch-not-a-multiple"])
 def test_train_that_cannot_form_a_batch_exits_2_and_leaves_no_file(
         tmp_path, batch_size, monkeypatch, capsys):
+    config = {**TINY, **FOUR_TASKS, "batch_size": batch_size}
+    message = f"batch_size {batch_size} is not a multiple of the task count 4"
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(config)
     monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a step ran"))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**TINY, **FOUR_TASKS, "batch_size": batch_size}))
+    path.write_text(json.dumps(config))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "ckpt")]) == 2
-    assert (f"batch_size {batch_size} is not a multiple of the task count 4"
-            in capsys.readouterr().err)
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -228,6 +240,47 @@ def test_unknown_task_exits_2_before_the_checkpoint_is_read(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "load_checkpoint", refuse)
     assert main(["eval", "--ckpt", str(tmp_path / "ckpt"), "--task", "nosuch"]) == 2
     assert "unknown task 'nosuch'" in capsys.readouterr().err
+
+
+def test_eval_of_a_task_the_checkpoint_cannot_encode_exits_2(tmp_path, capsys):
+    # vocab 11 holds copy's symbols (3-10) but not parity's labels (29, 30).
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(TINY, vocab_size=11)))
+    ckpt = str(tmp_path / "ckpt")
+    assert main(["train", "--config", str(config), "--out", ckpt]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", ckpt, "--task", "parity"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: vocab_size 11 below task requirement 31\n"
+
+
+@pytest.fixture(scope="module")
+def eval_target(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval-fuzz")
+    config = RunConfig.from_dict(TINY)
+    model = build_model(config.model(), config.seed, config.dtype, config.lr)
+    save_checkpoint(str(root / "good"), config, model)
+    return root, (root / "good").read_bytes()
+
+
+# Task names the checkpoint holds (copy), cannot encode (parity at vocab 16)
+# or that no registry knows; the checkpoint intact or with flipped bytes.
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(task=st.sampled_from(sorted(default_tasks())) | st.text(max_size=16),
+       flips=st.just([]) | BYTE_FLIPS)
+def test_fuzzed_eval_prints_a_report_or_one_error_line(eval_target, task, flips):
+    root, good = eval_target
+    path = root / "fuzzed"
+    path.write_bytes(flip_bytes(good, flips))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # --task=TEXT, since argparse reads a separate "-x" argument as an option
+        code = main(["eval", "--ckpt", str(path), f"--task={task}"])
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["task"] == task
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
 
 
 def test_bad_checkpoints_and_tasks_exit_2(tmp_path, ckpt, capsys):

@@ -5,21 +5,14 @@ import weakref
 import numpy as np
 import pytest
 
-from mixlora.config import frozen_parameter_count
+from mixlora.config import ModelConfig, frozen_parameter_count, trainable_parameter_count
 from mixlora.errors import ConfigError, ContractError, DimensionError
-from mixlora.model import (
-    AdapterSet,
-    Batch,
-    FrozenBase,
-    ModelConfig,
-    build_model,
-    model_loss,
-    trainable_parameter_count,
-)
+from mixlora.model import AdapterSet, FrozenBase, build_model, model_loss
 from mixlora.multitask import MultiTaskEngine, memory_census
 from mixlora.numerics import (
     Tape, Tensor, add, backward, causal_attention, layer_norm, mul, silu,
 )
+from mixlora.tasks import Batch
 from mixlora.train import train_step
 from conftest import assert_flat_views, fd_grad, max_rel_err
 

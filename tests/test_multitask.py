@@ -6,22 +6,16 @@ import numpy as np
 import pytest
 
 from mixlora.checkpoint import save_checkpoint
-from mixlora.config import RunConfig
+from mixlora.config import ModelConfig, RunConfig, trainable_parameter_count
 from mixlora.errors import CheckpointError, ContractError
-from mixlora.model import (
-    AdapterSet,
-    Batch,
-    FrozenBase,
-    ModelConfig,
-    ToyModel,
-    trainable_parameter_count,
-)
+from mixlora.model import AdapterSet, FrozenBase, ToyModel
 from mixlora.multitask import (
     MultiTaskBatch,
     MultiTaskEngine,
     memory_census,
     multi_forward,
 )
+from mixlora.tasks import Batch
 from mixlora.train import train_step
 
 CFG = ModelConfig(

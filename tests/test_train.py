@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mixlora.config import RunConfig
-from mixlora.errors import NumericError
-from mixlora.model import Batch
+from mixlora.errors import ContractError, NumericError
 from mixlora.multitask import MultiTaskEngine
+from mixlora.tasks import Batch
 from conftest import assert_flat_views
 
 # The package re-exports the train() function under the submodule's name.
@@ -73,3 +73,9 @@ def test_train_records_one_entry_per_step():
     # Gradients read zero after the step, in buffers that nothing rebound.
     assert not model.adapters.grad.any()
     assert_flat_views(model.adapters)
+
+
+def test_train_refuses_an_unmixed_batch_path(monkeypatch):
+    monkeypatch.setattr(train_mod, "task_suite", lambda *a: pytest.fail("task data was built"))
+    with pytest.raises(ContractError, match="multitask=False"):
+        train_mod.train(CFG, multitask=False)
