@@ -3,13 +3,7 @@
 from .bench import FlopLedger, base_flop_ratio, count_flops, run_bench
 from .config import ModelConfig, RunConfig, load_config, trainable_parameter_count
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    ContractError,
-    DimensionError,
-    NumericError,
-)
+from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta
 from .model import AdapterSet, FrozenBase, ToyModel, build_model, model_loss
 from .moe import (

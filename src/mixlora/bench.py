@@ -24,13 +24,12 @@ import numpy as np
 from .config import ModelConfig, RunConfig
 from .errors import ContractError
 from .model import build_model
-from .moe import MODES
+from .moe import BASE, LORA, MODES, ROUTER
 from .multitask import MultiTaskBatch, MultiTaskEngine, memory_census, multi_forward
 from .numerics import set_flop_hook
 from .tasks import mixed_batch, sample_batch
 from .train import task_suite, train_step
 
-BASE, LORA, ROUTER = "base", "lora", "router"
 # Bound on timed_iters: 50x the default of 20 rounds. A round (both ops in both
 # modes) took ~1.2 s at tools/bench-d512.json's dimensions on one BLAS thread, so
 # the longest run there is ~20 min.

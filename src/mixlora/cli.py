@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: train, eval, bench, sweep.
-Exit codes: 0 ok, 2 usage/config/checkpoint problems, 3 numeric failure.
+Exit codes: 0 ok, 2 usage, config, checkpoint or contract problems, 3 numeric failure.
 
 ``train`` mixes every configured task into each batch, in equal shares, so
 ``batch_size`` must be a multiple of the task count (``RunConfig.validate``).
+It writes the checkpoint to ``--out`` (not a directory) and, per step, one JSON
+line {step, **record of ``train.train_step``} to ``<out>.metrics.jsonl``.
 
 ``eval`` checks the task against the checkpoint's config, validating it with
 ``tasks`` set to that one task, and prints one JSON object
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -80,6 +83,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory")
     metrics_path = args.out + ".metrics.jsonl"
     try:
         log = open(metrics_path, "w", encoding="utf-8")

@@ -1,12 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-
-class DimensionError(ValueError):
-    """Tensor shapes are incompatible for the requested operation."""
+Each class is typed by where the bad input came from, not by what is wrong
+with it: config text and CLI values, checkpoint bytes, a non-finite value, or
+a call outside a function's documented preconditions, shapes included. The
+CLI exits 2 on all but ``NumericError``, which exits 3.
+"""
 
 
 class ContractError(ValueError):
-    """An operation was called outside its documented preconditions."""
+    """A call outside its documented preconditions, wrong shapes included."""
 
 
 class NumericError(RuntimeError):
@@ -14,8 +16,8 @@ class NumericError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration is malformed or violates an invariant."""
+    """Config text or a CLI value is malformed or violates an invariant."""
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is malformed, truncated, or inconsistent."""
+    """Checkpoint file bytes are malformed, truncated or inconsistent."""

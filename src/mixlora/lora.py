@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ContractError
 from .numerics import (Tensor, _accum, _count_matmul, _record, _tape_for, add, dropout_mask,
                        matmul)
 
@@ -48,15 +48,15 @@ class LoraAdapter:
         d_in = a.shape[1]
         d_out = b.shape[0]
         if a.shape != (rank, d_in) or b.shape != (d_out, rank):
-            raise DimensionError(f"adapter shapes A{a.shape} B{b.shape} rank {rank}")
+            raise ContractError(f"adapter shapes A{a.shape} B{b.shape} rank {rank}")
         if rank < 1 or rank > min(d_in, d_out):
-            raise DimensionError(
+            raise ContractError(
                 f"rank {rank} must be in [1, min({d_in}, {d_out})]"
             )
         if alpha <= 0:
-            raise DimensionError(f"alpha must be positive, got {alpha}")
+            raise ContractError(f"alpha must be positive, got {alpha}")
         if not 0.0 <= dropout_p < 1.0:
-            raise DimensionError(f"dropout_p {dropout_p} outside [0, 1)")
+            raise ContractError(f"dropout_p {dropout_p} outside [0, 1)")
         self.a = a
         self.b = b
         self.rank = rank
@@ -104,7 +104,7 @@ def lora_delta(adapter: LoraAdapter, x: Tensor,
     """B ((alpha/rank) A drop(x)) as one tape op; dropout, drawn from rng when
     one is given, hits the adapter input only."""
     if x.ndim != 2 or x.shape[1] != adapter.d_in:
-        raise DimensionError(f"lora_delta: input {x.shape} vs d_in {adapter.d_in}")
+        raise ContractError(f"lora_delta: input {x.shape} vs d_in {adapter.d_in}")
     mask = dropout_mask(x.shape, x.dtype, adapter.dropout_p, rng)
     u, delta = lora_forward(adapter, x.data, mask)
 
@@ -118,7 +118,7 @@ def adapted_forward(base: FrozenLinear, adapter: LoraAdapter, x: Tensor,
                     rng: np.random.Generator | None = None) -> Tensor:
     """Frozen projection plus adapter delta: x @ W.T + delta(x)."""
     if base.d_in != adapter.d_in or base.d_out != adapter.d_out:
-        raise DimensionError(
+        raise ContractError(
             f"adapter ({adapter.d_out}x{adapter.d_in}) does not match "
             f"base ({base.d_out}x{base.d_in})"
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig, trainable_parameter_count
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, NumericError
 from .lora import FrozenLinear, LoraAdapter, adapted_forward
 from .moe import (
     ExpertTriple,
@@ -283,10 +283,10 @@ class ToyModel:
                       training: bool = False) -> tuple[Tensor, list[RoutingStats]]:
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
-            raise DimensionError(f"tokens must be [batch, seq], got {tokens.shape}")
+            raise ContractError(f"tokens must be [batch, seq], got {tokens.shape}")
         n_seqs, seq_len = tokens.shape
         if seq_len > self.config.max_seq_len:
-            raise DimensionError(
+            raise ContractError(
                 f"sequence length {seq_len} exceeds max_seq_len {self.config.max_seq_len}"
             )
         flat = tokens.reshape(-1)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .lora import FrozenLinear, LoraAdapter, lora_backward, lora_forward
 from .lora import lora_delta  # noqa: F401  (perfbench's tracer wraps moe.lora_delta by name)
 from .numerics import (
@@ -68,6 +68,7 @@ from .numerics import (
 )
 
 MODES = ("vanilla", "optimized")  # forward paths; "optimized" shares the base W1/W3
+BASE, LORA, ROUTER = "base", "lora", "router"  # FLOP sources of an expert block
 
 
 class Router:
@@ -75,7 +76,7 @@ class Router:
 
     def __init__(self, wr: Tensor, top_k: int):
         if wr.ndim != 2:
-            raise DimensionError(f"router weight must be 2-D, got {wr.shape}")
+            raise ContractError(f"router weight must be 2-D, got {wr.shape}")
         if not 1 <= top_k <= wr.shape[0]:
             raise ContractError(f"top_k={top_k} outside [1, {wr.shape[0]}]")
         self.wr = wr
@@ -91,7 +92,7 @@ class SharedFfn:
 
     def __init__(self, w1: FrozenLinear, w3: FrozenLinear, w2: FrozenLinear):
         if not (w1.d_in == w3.d_in == w2.d_out and w1.d_out == w3.d_out == w2.d_in):
-            raise DimensionError(
+            raise ContractError(
                 f"inconsistent FFN shapes: W1 {w1.w.shape}, W3 {w3.w.shape}, W2 {w2.w.shape}"
             )
         self.w1 = w1
@@ -150,19 +151,18 @@ class RoutingStats:
 def route(router: Router, h: Tensor) -> tuple[Tensor, Tensor, RoutingStats]:
     """Score tokens, keep the top-k gates renormalized to sum 1, collect stats.
 
-    Ties break toward the lowest expert index. The dispatch counts tally each
-    token's argmax expert once, which is the F of the balance loss.
+    The dispatch counts tally each token's first selected expert once: its
+    argmax under ``topk_gates``' tie rule, and the F of the balance loss.
     """
     if h.ndim != 2 or h.shape[1] != router.wr.shape[1]:
-        raise DimensionError(f"route: input {h.shape} vs router {router.wr.shape}")
-    with flop_labels(projection="router", source="router"):
+        raise ContractError(f"route: input {h.shape} vs router {router.wr.shape}")
+    with flop_labels(projection="router", source=ROUTER):
         logits = matmul(h, transpose(router.wr))
     probs = softmax_lastdim(logits)
     gates, sel = topk_gates(probs, router.top_k)
-    counts = np.bincount(probs.data.argmax(axis=1), minlength=router.n_experts)
     stats = RoutingStats(
         token_count=h.shape[0],
-        dispatch_counts=counts.astype(np.int64),
+        dispatch_counts=np.bincount(sel[:, 0], minlength=router.n_experts),
         prob_sums=sum_axis0(probs),
         topk_indices=sel,
     )
@@ -185,7 +185,7 @@ def aux_loss(stats: RoutingStats, n_experts: int, coef: float) -> Tensor:
 
 
 def _base(frozen: FrozenLinear, x: np.ndarray, proj: str) -> np.ndarray:
-    with flop_labels(projection=proj, source="base"):
+    with flop_labels(projection=proj, source=BASE):
         return frozen.apply(Tensor(x)).data
 
 
@@ -200,7 +200,7 @@ class MixLoraBlock:
         layer_index: int = 0,
     ):
         if len(experts) != router.n_experts:
-            raise DimensionError(
+            raise ContractError(
                 f"{len(experts)} expert triples vs router for {router.n_experts}"
             )
         self.router = router
@@ -242,9 +242,9 @@ class MixLoraBlock:
                 m1, m3, m2 = (dropout_mask(shape, x.dtype, ad.dropout_p, rng)
                               for ad, shape in ((tri.w1, xe.shape), (tri.w3, xe.shape),
                                                 (tri.w2, (b - a, dff))))
-                with flop_labels(projection="w1", source="lora"):
+                with flop_labels(projection="w1", source=LORA):
                     u1, delta1 = lora_forward(tri.w1, xe, m1)
-                with flop_labels(projection="w3", source="lora"):
+                with flop_labels(projection="w3", source=LORA):
                     u3, delta3 = lora_forward(tri.w3, xe, m3)
                 if shared_base:
                     h1, h3 = h1_all[rows], h3_all[rows]
@@ -253,7 +253,7 @@ class MixLoraBlock:
                 h1 += delta1
                 h3 += delta3
                 mids.append((h1 * _sigmoid(h1)) * h3)
-                with flop_labels(projection="w2", source="lora"):
+                with flop_labels(projection="w2", source=LORA):
                     u2, d2 = lora_forward(tri.w2, mids[-1], m2)
                 d2s.append(d2)
                 if tape is not None:

@@ -6,7 +6,7 @@ innermost active ``Tape`` only when some input has ``requires_grad``, so
 forward-only evaluation (no tape) carries no recording overhead.
 
 Broadcasting is deliberately narrow: elementwise ops take operands of
-exactly the same shape, and anything else is a ``DimensionError``. No tensor
+exactly the same shape, and anything else is a ``ContractError``. No tensor
 has more than two dimensions: ``causal_attention`` alone reshapes to four,
 ``[sequences, heads, T, d_head]``, and only inside itself.
 
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 
 # ---------------------------------------------------------------------------
 # Tensor and tape
@@ -172,7 +172,7 @@ def _count_matmul(m: int, k: int, n: int) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product [m,k] x [k,n] -> [m,n]."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+        raise ContractError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     m, k = a.shape
     n = b.shape[1]
     _count_matmul(m, k, n)
@@ -188,7 +188,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _same_shape(a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
-        raise DimensionError(f"elementwise: incompatible shapes {a.shape} vs {b.shape}")
+        raise ContractError(f"elementwise: incompatible shapes {a.shape} vs {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -226,16 +226,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def silu(a: Tensor) -> Tensor:
-    """silu(x) = x * sigmoid(x)."""
-    s = _sigmoid(a.data)
-
-    def bwd(g, a=a, s=s):
-        _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
-
-    return _record(Tensor(a.data * s), _tape_for(a), bwd)
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -260,7 +250,7 @@ def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
 
     No affine: over a frozen base it would be the identity (gain 1, bias 0)."""
     if x.ndim != 2 or x.shape[1] < 2:
-        raise DimensionError(f"layer_norm: need 2-D rows of >= 2, got shape {x.shape}")
+        raise ContractError(f"layer_norm: need 2-D rows of >= 2, got shape {x.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -289,7 +279,7 @@ def sum_all(a: Tensor) -> Tensor:
 def sum_axis0(a: Tensor) -> Tensor:
     """Column sums of a 2-D tensor -> 1-D."""
     if a.ndim != 2:
-        raise DimensionError(f"sum_axis0: need 2-D, got {a.shape}")
+        raise ContractError(f"sum_axis0: need 2-D, got {a.shape}")
 
     def bwd(g, a=a):
         _accum(a, np.broadcast_to(g, a.shape).copy())
@@ -300,7 +290,7 @@ def sum_axis0(a: Tensor) -> Tensor:
 def take_rows(a: Tensor, idx) -> Tensor:
     """Gather rows a[idx]; repeated indices allowed (backward scatter-adds)."""
     if a.ndim != 2:
-        raise DimensionError(f"take_rows: need 2-D, got {a.shape}")
+        raise ContractError(f"take_rows: need 2-D, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
 
     def bwd(g, a=a, idx=idx):
@@ -316,7 +306,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
-        raise DimensionError(f"transpose: need 2-D, got {a.shape}")
+        raise ContractError(f"transpose: need 2-D, got {a.shape}")
 
     def bwd(g, a=a):
         _accum(a, g.T)
@@ -335,11 +325,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_seqs: int,
     (sequence, head), so the results equal that chain's bit for bit.
     """
     if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise DimensionError(f"causal_attention: shapes {q.shape}/{k.shape}/{v.shape}")
+        raise ContractError(f"causal_attention: shapes {q.shape}/{k.shape}/{v.shape}")
     rows, d = q.shape
     if n_seqs < 1 or rows % n_seqs or n_heads < 1 or d % n_heads:
-        raise DimensionError(f"causal_attention: {q.shape} does not split into "
-                             f"{n_seqs} sequences of {n_heads} heads")
+        raise ContractError(f"causal_attention: {q.shape} does not split into "
+                            f"{n_seqs} sequences of {n_heads} heads")
     t, d_head = rows // n_seqs, d // n_heads
     inv_sqrt = 1.0 / math.sqrt(d_head)
 
@@ -376,7 +366,7 @@ def topk_gates(probs: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
     probabilities.
     """
     if probs.ndim != 2:
-        raise DimensionError(f"topk_gates: need 2-D, got {probs.shape}")
+        raise ContractError(f"topk_gates: need 2-D, got {probs.shape}")
     n = probs.shape[1]
     if not 1 <= k <= n:
         raise ContractError(f"topk_gates: k={k} outside [1, {n}]")
@@ -401,11 +391,11 @@ def topk_gates(probs: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under softmax(logits)."""
     if logits.ndim != 2:
-        raise DimensionError(f"cross_entropy: need 2-D logits, got {logits.shape}")
+        raise ContractError(f"cross_entropy: need 2-D logits, got {logits.shape}")
     labels = np.asarray(labels, dtype=np.intp)
     m_rows = logits.shape[0]
     if labels.shape != (m_rows,):
-        raise DimensionError(
+        raise ContractError(
             f"cross_entropy: labels {labels.shape} do not match {m_rows} rows"
         )
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):

@@ -125,7 +125,6 @@ class SyntheticTask:
             kept = np.concatenate([kept, keys[new]])
             filled += new.size
         return TaskData(
-            task=self,
             train=self._encode(payloads[: self.train_count]),
             test=self._encode(payloads[self.train_count:]),
         )
@@ -154,7 +153,6 @@ class Batch:
 
 @dataclass
 class TaskData:
-    task: SyntheticTask
     train: tuple[np.ndarray, np.ndarray]  # (tokens [n,T], labels [n,P])
     test: tuple[np.ndarray, np.ndarray]
 

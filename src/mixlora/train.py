@@ -37,6 +37,10 @@ def task_suite(config: RunConfig) -> tuple[list[SyntheticTask], list[TaskData]]:
 def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
     """One forward/backward/update; only adapter-set parameters change.
 
+    Returns the step's record, the one statement of its schema: {task_loss,
+    aux_loss, total_loss, expert_load: [[F per expert] per layer]}, with F the
+    batch's argmax dispatch fractions. ``train`` logs it after ``step``.
+
     Backward adds into the set's gradient buffer, zero at entry, so entries
     the loss did not reach stay zero. One ``isfinite`` checks the whole buffer;
     only a failure looks up the offending tensor's name."""
@@ -52,10 +56,10 @@ def train_step(model: ToyModel, batch: Batch, mode: str = "optimized") -> dict:
     aset.optimizer.step()
     aset.optimizer.zero_grad()
     return {
-        "total": out.total.item(),
-        "task": out.task.item(),
-        "aux": out.aux.item(),
-        "stats": out.stats,
+        "task_loss": out.task.item(),
+        "aux_loss": out.aux.item(),
+        "total_loss": out.total.item(),
+        "expert_load": [st.dispatch_fractions().tolist() for st in out.stats],
     }
 
 
@@ -63,8 +67,8 @@ def train(config: RunConfig, multitask: bool = True,
           log_cb=None) -> tuple[ToyModel, list[dict]]:
     """Train one adapter set on batches that mix every configured task.
 
-    Returns the model and one metrics record per step:
-    {step, task_loss, aux_loss, total_loss, expert_load: [[F per expert] per layer]}.
+    Returns the model and one record per step, {step, **train_step's record},
+    each also passed to ``log_cb``.
     """
     if not multitask:
         raise ContractError("train mixes every configured task; multitask=False is refused")
@@ -75,14 +79,7 @@ def train(config: RunConfig, multitask: bool = True,
     metrics: list[dict] = []
     for step in range(config.steps):
         batch = mixed_batch(tasks, [d.train for d in datas], batch_rng, config.batch_size)
-        out = train_step(model, batch, config.mode)
-        entry = {
-            "step": step,
-            "task_loss": out["task"],
-            "aux_loss": out["aux"],
-            "total_loss": out["total"],
-            "expert_load": [st.dispatch_fractions().tolist() for st in out["stats"]],
-        }
+        entry = {"step": step, **train_step(model, batch, config.mode)}
         metrics.append(entry)
         if log_cb is not None:
             log_cb(entry)
@@ -114,15 +111,12 @@ def evaluate(model: ToyModel, task: SyntheticTask,
 def evaluate_tasks(model: ToyModel, config: RunConfig) -> dict[str, dict]:
     """Held-out accuracy and routing report per configured task:
     {accuracy, expert_load_std: [per layer], records: ``expert_load_report`` rows}."""
-    registry = default_tasks()
     out = {}
-    for name in config.tasks:
-        task = registry[name]
-        data = task.generate(config.seed)
+    for task, data in zip(*task_suite(config)):
         acc, stats = evaluate(model, task, data.test, config.mode)
-        out[name] = {
+        out[task.name] = {
             "accuracy": acc,
             "expert_load_std": [expert_load_std(st) for st in stats],
-            "records": expert_load_report(name, stats),
+            "records": expert_load_report(task.name, stats),
         }
     return out

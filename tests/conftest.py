@@ -1,11 +1,13 @@
 """Shared test helpers: finite-difference oracle, error metrics, the LoRA
-delta as a chain of generic tape ops and the checkpoint byte-flip strategy."""
+delta and silu as generic tape ops for the chain oracles, and the checkpoint
+byte-flip strategy."""
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mixlora.numerics import Tensor, dropout_mask, matmul, mul, transpose
+from mixlora.numerics import (Tensor, _accum, _record, _sigmoid, _tape_for, dropout_mask,
+                              matmul, mul, transpose)
 
 
 def fd_grad(f, tensor: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -45,6 +47,17 @@ def chain_lora_delta(adapter, x: Tensor, rng=None) -> Tensor:
     u = matmul(h, transpose(adapter.a))
     u = mul(u, Tensor(np.full(u.shape, adapter.scaling, dtype=u.dtype)))
     return matmul(u, transpose(adapter.b))
+
+
+def silu(a: Tensor) -> Tensor:
+    """silu(x) = x * sigmoid(x) as one recording op: the activation the
+    expert kernel applies inside its own op, for the chain oracles."""
+    s = _sigmoid(a.data)
+
+    def bwd(g, a=a, s=s):
+        _accum(a, g * (s * (1.0 + a.data * (1.0 - s))))
+
+    return _record(Tensor(a.data * s), _tape_for(a), bwd)
 
 
 def assert_flat_views(aset) -> None:

@@ -59,8 +59,8 @@ def test_train_writes_checkpoint_and_metrics(tmp_path, config_path, capsys):
 
 
 def test_train_to_unwritable_paths_exits_2(tmp_path, config_path, capsys):
-    # A missing directory fails before any step runs; a directory in place
-    # of the checkpoint file fails at the save. Neither leaves a checkpoint.
+    # A missing directory and a directory in place of the checkpoint file both
+    # fail before any step runs. Neither leaves a checkpoint.
     missing = tmp_path / "missing" / "x.ckpt"
     assert main(["train", "--config", config_path, "--out", str(missing)]) == 2
     assert not missing.parent.exists()
@@ -69,6 +69,17 @@ def test_train_to_unwritable_paths_exits_2(tmp_path, config_path, capsys):
     assert main(["train", "--config", config_path, "--out", str(taken)]) == 2
     assert taken.is_dir() and not any(taken.iterdir())
     assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_train_to_a_directory_exits_2_before_any_step(tmp_path, config_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a step ran"))
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(["train", "--config", config_path, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err == f"error: --out {taken} is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+    assert not any(taken.iterdir())
 
 
 FOUR_TASKS = {"vocab_size": 32, "tasks": ["copy", "reverse", "shift", "parity"]}
@@ -281,6 +292,86 @@ def test_fuzzed_eval_prints_a_report_or_one_error_line(eval_target, task, flips)
     else:
         assert code == 2 and out.getvalue() == ""
         assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
+
+
+# Config changes over TINY: valid values, then at most one field past a bound
+# or of the wrong type. d_model stays at most 8, so the rank axis (up to 16)
+# never trains.
+ARGV_CONFIGS = st.fixed_dictionaries({}, optional={
+    "vocab_size": st.sampled_from([16, 32]),
+    "d_model": st.sampled_from([4, 8]),
+    "n_experts": st.sampled_from([1, 2]),
+    "lora_rank": st.sampled_from([1, 4]),
+    "steps": st.sampled_from([0, 1, 2]),
+    "batch_size": st.sampled_from([2, 4]),
+    "precision": st.sampled_from(["f32", "f64"]),
+    "tasks": st.sampled_from([["copy"], ["copy", "reverse"]]),
+})
+ARGV_HOSTILE = st.none() | st.sampled_from([
+    ("d_model", 0), ("d_model", 6), ("d_model", "8"), ("n_experts", 0), ("top_k", 3),
+    ("lora_rank", 9), ("steps", -1), ("steps", 2**63), ("batch_size", 3),
+    ("precision", "f16"), ("tasks", ["nope"]), ("tasks", []), ("lr", 2.0),
+    ("lr", float("inf")),
+])
+# Option values as text: no digit of any script, so argparse's int() refuses it.
+NON_INT = st.text(st.characters(exclude_categories=("N", "Cs")), min_size=1, max_size=4)
+
+
+def run_argv_in(root, changes: dict, hostile, argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) with TINY, changes and the hostile field written to
+    root/config.json; asserts that it leaves no other file there."""
+    path = root / "config.json"
+    path.write_text(json.dumps({**TINY, **changes, **dict([hostile] if hostile else [])}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # --opt=TEXT, since argparse reads a separate "-x" argument as an option
+        code = main([argv[0], f"--config={path}", *argv[1:]])
+    assert sorted(p.name for p in root.iterdir()) == ["config.json"]
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_output_or_one_error_line(code: int, out: str, err: str) -> None:
+    """Exit 0 with JSON lines and a silent stderr, or exit 2 with nothing on
+    stdout and exactly one ``error:`` line (argparse puts its usage first)."""
+    if code == 0:
+        assert err == "" and all(json.loads(line) for line in out.splitlines())
+    else:
+        assert code == 2 and out == "" and "Traceback" not in err, err
+        errors = [line for line in err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and errors == err.splitlines()[-1:], err
+
+
+@pytest.fixture(scope="module")
+def argv_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv-fuzz")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(changes=ARGV_CONFIGS, hostile=ARGV_HOSTILE,
+       iters=st.sampled_from(["1", "2"])
+       | st.sampled_from(["0", "-1", str(bench.MAX_ITERS + 1), "1.5"]) | NON_INT)
+def test_fuzzed_bench_argv_prints_a_report_or_one_error_line(argv_root, changes, hostile,
+                                                            iters):
+    code, out, err = run_argv_in(argv_root, changes, hostile,
+                                 ["bench", f"--timed-iters={iters}"])
+    assert_output_or_one_error_line(code, out, err)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(changes=ARGV_CONFIGS, hostile=ARGV_HOSTILE,
+       axis=st.sampled_from(sorted(cli.SWEEP_AXES)) | NON_INT,
+       jobs=st.sampled_from(["1", "3", "100000"]) | st.sampled_from(["0", "-4"]) | NON_INT)
+def test_fuzzed_sweep_argv_prints_rows_or_one_error_line(argv_root, changes, hostile, axis,
+                                                        jobs):
+    # A pool that maps in this process: workers would cost a fork per example.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ProcessPoolExecutor", FakePool)
+        mp.setattr(FakePool, "workers", [])
+        code, out, err = run_argv_in(argv_root, changes, hostile,
+                                     ["sweep", f"--axis={axis}", f"--jobs={jobs}"])
+    assert_output_or_one_error_line(code, out, err)
+    if code == 0:
+        assert len(out.splitlines()) == len(cli.SWEEP_AXES[axis])
 
 
 def test_bad_checkpoints_and_tasks_exit_2(tmp_path, ckpt, capsys):

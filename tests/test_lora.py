@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixlora.errors import DimensionError
+from mixlora.errors import ContractError
 from mixlora.lora import FrozenLinear, LoraAdapter, adapted_forward, lora_delta
 from mixlora.numerics import Tape, Tensor, add, backward, mul, sum_all
 from conftest import chain_lora_delta, fd_grad, max_rel_err
@@ -84,16 +84,16 @@ def test_merged_weight_cases(rng):
 
 
 def test_rank_bound_enforced(rng):
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=r"rank 4 must be in \[1, min\(4, 3\)\]"):
         make_adapter(rng, d_in=4, d_out=3, rank=4)
 
 
 def test_shape_mismatch_errors(rng):
     base = FrozenLinear(rng.normal(size=(5, 6)))
     ad = make_adapter(rng, d_in=4, d_out=5)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=r"adapter \(5x4\) does not match base \(5x6\)"):
         adapted_forward(base, ad, Tensor(np.ones((2, 6))))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match=r"lora_delta: input \(2, 6\) vs d_in 4"):
         lora_delta(ad, Tensor(np.ones((2, 6))))
 
 

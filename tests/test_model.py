@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from mixlora.config import ModelConfig, frozen_parameter_count, trainable_parameter_count
-from mixlora.errors import ConfigError, ContractError, DimensionError
+from mixlora.errors import ConfigError, ContractError
 from mixlora.model import AdapterSet, FrozenBase, build_model, model_loss
 from mixlora.multitask import MultiTaskEngine, memory_census
 from mixlora.numerics import (
-    Tape, Tensor, add, backward, causal_attention, layer_norm, mul, silu,
+    Tape, Tensor, add, backward, causal_attention, layer_norm, mul,
 )
 from mixlora.tasks import Batch
 from mixlora.train import train_step
-from conftest import assert_flat_views, fd_grad, max_rel_err
+from conftest import assert_flat_views, fd_grad, max_rel_err, silu
 
 SMALL = ModelConfig(
     vocab_size=32, d_model=8, n_heads=2, d_ff=12, n_layers=1, n_experts=2,
@@ -172,7 +172,7 @@ def test_residual_structure(rng):
 
 def test_sequence_length_cap(rng):
     model = build_model(SMALL, seed=1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ContractError, match="exceeds max_seq_len"):
         logits_all(model, random_tokens(rng, SMALL, 1, SMALL.max_seq_len + 1))
 
 
@@ -274,7 +274,7 @@ def test_unreached_expert_gradient_reads_zero(rng):
     randomize_adapters(model, rng)
     batch = make_batch(rng, config, n_seqs=4, seq_len=8)
     out = train_step(model, batch)
-    assert (out["stats"][0].dispatch_counts > 0).all()  # every expert had a gradient
+    assert all(f > 0 for f in out["expert_load"][0])  # every expert had a gradient
     model.adapters.layers[0].router.wr.data[...] = 0.0  # tied logits: all go to expert 0
     tape = Tape()
     with tape:
@@ -311,7 +311,7 @@ def test_one_expert_model_trains_as_the_lora_baseline(rng):
     adapters = [p.data.copy() for p in adapter_tensors(model.adapters)]
     for _ in range(3):
         out = train_step(model, make_batch(rng, one))
-        assert out["aux"] == pytest.approx(one.aux_coef, rel=1e-15)
+        assert out["aux_loss"] == pytest.approx(one.aux_coef, rel=1e-15)
     assert np.array_equal(router.data, start)
     moved = [not np.array_equal(p.data, a)
              for p, a in zip(adapter_tensors(model.adapters), adapters) if p is not router]

@@ -16,9 +16,9 @@ from mixlora.moe import (
     route,
 )
 from mixlora.numerics import (
-    Tape, Tensor, _accum, _record, _tape_for, add, backward, mul, silu, sum_all, take_rows,
+    Tape, Tensor, _accum, _record, _tape_for, add, backward, mul, sum_all, take_rows,
 )
-from conftest import chain_lora_delta, fd_grad, max_rel_err
+from conftest import chain_lora_delta, fd_grad, max_rel_err, silu
 
 
 def mode_of(shared_base: bool) -> str:

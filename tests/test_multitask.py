@@ -116,7 +116,7 @@ def test_training_trajectories_match_standalone(rng):
         for (_, a), (_, b) in zip(engine.sets[sid].named_parameters(),
                                   solo.adapters.named_parameters()):
             assert np.abs(a.data - b.data).max() < 1e-9
-        assert res["task"] == pytest.approx(losses[-1][sid]["task"], abs=1e-9)
+        assert res["task_loss"] == pytest.approx(losses[-1][sid]["task_loss"], abs=1e-9)
 
 
 def test_step_zero_losses_match_standalone(rng):
@@ -128,7 +128,7 @@ def test_step_zero_losses_match_standalone(rng):
     for sid, b in zip(engine.sets, batches):
         solo = standalone_model(engine, sid)
         ref = model_loss(solo, b, training=True)
-        assert losses[sid]["task"] == pytest.approx(ref.task.item(), abs=1e-12)
+        assert losses[sid]["task_loss"] == pytest.approx(ref.task.item(), abs=1e-12)
 
 
 def test_exactly_one_base_copy(rng):

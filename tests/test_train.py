@@ -79,3 +79,18 @@ def test_train_refuses_an_unmixed_batch_path(monkeypatch):
     monkeypatch.setattr(train_mod, "task_suite", lambda *a: pytest.fail("task data was built"))
     with pytest.raises(ContractError, match="multitask=False"):
         train_mod.train(CFG, multitask=False)
+
+
+def test_train_records_are_the_step_records_after_their_step(monkeypatch):
+    steps, logged = [], []
+    real = train_mod.train_step
+
+    def train_step(*args, **kwargs):
+        steps.append(real(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(train_mod, "train_step", train_step)
+    _, metrics = train_mod.train(dataclasses.replace(CFG, steps=2), log_cb=logged.append)
+    assert metrics == logged == [{"step": i, **r} for i, r in enumerate(steps)]
+    assert [list(m) for m in metrics] == [
+        ["step", "task_loss", "aux_loss", "total_loss", "expert_load"]] * 2
