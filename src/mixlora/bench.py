@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import json
 import os
+import resource
 import statistics
 import time
 from fractions import Fraction
@@ -114,6 +115,20 @@ def verify_mode_equivalence(logits_of, tol: float = 1e-4) -> float:
     return diff
 
 
+def _blas_build() -> dict | None:
+    """numpy's BLAS build (name, version, OpenBLAS configuration), or None
+    where numpy does not report it."""
+    try:
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {k: build.get(k) for k in ("name", "version", "openblas configuration")}
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def run_bench(config: RunConfig, timed_iters: int = 20) -> dict:
     """Both modes of ``train_step`` and of a serve call, timed in float32.
 
@@ -121,9 +136,9 @@ def run_bench(config: RunConfig, timed_iters: int = 20) -> dict:
     exists. One untimed call per (op, mode) warms up; the train steps make
     the adapters' B nonzero, and the serve sets take the trained buffer. Both
     ops must then give the same logits in both modes. Each of ``timed_iters``
-    rounds times every (op, mode), and the mode that goes first alternates
-    between rounds, so host drift slows both modes alike. ``cli``'s docstring
-    gives the output schema.
+    rounds times every (op, mode) and counts its minor page faults, and the
+    mode that goes first alternates between rounds, so host drift slows both
+    modes alike. ``cli``'s docstring gives the output schema.
     """
     config.validate()
     if not 1 <= timed_iters <= MAX_ITERS:
@@ -156,12 +171,15 @@ def run_bench(config: RunConfig, timed_iters: int = 20) -> dict:
     max_abs_diff = {op: verify_mode_equivalence(logits[op]) for op in ops}
 
     seconds: dict[tuple, list[float]] = {(op, mode): [] for op in ops for mode in MODES}
+    faults: dict[tuple, list[int]] = {key: [] for key in seconds}
     for i in range(timed_iters):
         for op, run in ops.items():
             for mode in (MODES if i % 2 == 0 else MODES[::-1]):
+                f0 = _minor_faults()
                 t0 = time.perf_counter()
                 run(mode)
                 seconds[op, mode].append(time.perf_counter() - t0)
+                faults[op, mode].append(_minor_faults() - f0)
 
     ratio = base_flop_ratio(config)
     report = {}
@@ -169,8 +187,11 @@ def run_bench(config: RunConfig, timed_iters: int = 20) -> dict:
         entry: dict = {"tokens": tokens[op], "max_abs_logit_diff": max_abs_diff[op]}
         for mode in MODES:
             median = statistics.median(seconds[op, mode])
+            q1, q3 = np.percentile(seconds[op, mode], [25, 75])
             flops = count_flops(config, tokens[op], mode).by_source()
-            entry[mode] = {"median_ms": 1e3 * median, "tokens_per_s": tokens[op] / median,
+            entry[mode] = {"median_ms": 1e3 * median, "iqr_ms": 1e3 * float(q3 - q1),
+                           "tokens_per_s": tokens[op] / median,
+                           "minor_faults": statistics.median(faults[op, mode]),
                            "block_flops": {s: config.n_layers * n for s, n in flops.items()}}
         rounds = [o / v for v, o in zip(seconds[op, "vanilla"], seconds[op, "optimized"])]
         entry["ratios"] = rounds
@@ -178,7 +199,7 @@ def run_bench(config: RunConfig, timed_iters: int = 20) -> dict:
         report[op] = entry
     return {
         "config_hash": config_hash(config),
-        "host": {"numpy": np.__version__, "cpu_count": os.cpu_count(),
+        "host": {"numpy": np.__version__, "blas": _blas_build(), "cpu_count": os.cpu_count(),
                  "threads": {var: os.environ.get(var) for var in THREAD_VARS}},
         "precision": "f32",
         "timed_iters": timed_iters,

@@ -23,14 +23,18 @@ the rows in a file.
 (``multitask.multi_forward`` over one adapter set per configured task), each in
 both modes, in float32 at the config's dimensions, whatever its precision. It
 prints one JSON object {config_hash, host, precision, timed_iters,
-base_flop_ratio, ops, memory}. ``host`` holds the numpy version, the CPU count
-and the BLAS thread variables. ``ops`` maps "train_step" and "serve" to
-{tokens, max_abs_logit_diff, vanilla, optimized, ratios, median_ratio}; each mode
-holds {median_ms, tokens_per_s, block_flops}, where block_flops is the expert
-blocks' forward multiply-adds per source, and ratios holds the optimized/vanilla
-time of each round. ``memory`` is ``multitask.memory_census`` of the serve
-engine. The timings (median_ms, tokens_per_s, ratios, median_ratio) are the only
-fields that differ between runs on one host.
+base_flop_ratio, ops, memory, argv}. ``host`` holds the numpy version, the BLAS
+build {name, version, openblas configuration} (null where numpy does not report
+it), the CPU count and the BLAS thread variables. ``ops`` maps "train_step" and
+"serve" to {tokens, max_abs_logit_diff, vanilla, optimized, ratios,
+median_ratio}; each mode holds {median_ms, iqr_ms, tokens_per_s, minor_faults,
+block_flops}, where iqr_ms is the interquartile range of the round times,
+minor_faults the median count of minor page faults per timed call, block_flops
+the expert blocks' forward multiply-adds per source, and ratios holds the
+optimized/vanilla time of each round. ``memory`` is ``multitask.memory_census``
+of the serve engine, and ``argv`` the command line that repeats the run. The
+measurements (median_ms, iqr_ms, tokens_per_s, minor_faults, ratios,
+median_ratio) are the only fields that differ between runs on one host.
 """
 
 from __future__ import annotations
@@ -117,7 +121,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    print(json.dumps(run_bench(load_config(args.config), args.timed_iters)))
+    report = run_bench(load_config(args.config), args.timed_iters)
+    argv = ["mixlora", "bench", "--config", args.config, "--timed-iters", str(args.timed_iters)]
+    print(json.dumps({**report, "argv": argv}))
     return 0
 
 

@@ -37,10 +37,10 @@ from .numerics import (
     Tensor,
     add,
     causal_attention,
-    cross_entropy,
     flop_labels,
     layer_norm,
     take_rows,
+    target_cross_entropy,
 )
 from .optim import Adam
 from .tasks import Batch
@@ -321,9 +321,13 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float64,
 
 def model_loss(model: ToyModel, batch: Batch, mode: str = "optimized",
                training: bool = True) -> LossOutput:
-    """Cross-entropy at the batch's target positions plus per-layer balance loss."""
-    logits, stats = model.logits_at(batch.tokens, batch.positions, mode, training)
-    task = cross_entropy(logits, batch.labels)
+    """Cross-entropy at the batch's target positions plus per-layer balance loss.
+
+    The task loss is ``target_cross_entropy`` of the hidden states: it equals
+    ``cross_entropy`` of ``logits_at``'s logits bit for bit, but forms no
+    logits tensor; its one [targets, vocab] array becomes the logit gradient."""
+    h, stats = model.hidden_states(batch.tokens, mode, training)
+    task = target_cross_entropy(h, batch.positions, model.base.head.w, batch.labels)
     n_experts, coef = model.config.n_experts, model.config.aux_coef
     aux_total = aux_loss(stats[0], n_experts, coef)
     for st in stats[1:]:

@@ -15,6 +15,13 @@ records through ``_record(out, _tape_for(inputs...), backward_fn)``: the one
 place that marks an output as needing grad and appends it to the tape. Those
 kernels also use ``_accum``, ``dropout_mask`` and ``_count_matmul``; the FLOPs
 they count carry whatever labels their caller set with ``flop_labels``.
+
+The training loss is one op, ``target_cross_entropy``: the target-row gather,
+the head GEMM and the softmax/NLL, with the chain's bits. It and
+``cross_entropy`` (which runs on a copy of its logits) share two in-place
+helpers: ``_softmax_nll_`` turns the logits into their softmax, and the
+backward's ``_nll_grad_`` consumes that saved softmax, writing the logit
+gradient over it. ``take_rows`` and the fused op share ``_scatter_rows``.
 """
 
 from __future__ import annotations
@@ -70,12 +77,14 @@ class Tape:
     """Append-only record of differentiable ops.
 
     Node inputs always precede the node itself (topological order by
-    construction), so ``backward`` is a single reverse sweep. A tape is
-    meant for one forward/backward pair; make a fresh one per step.
+    construction), so ``backward`` is a single reverse sweep. A tape serves
+    one forward/backward pair: ``backward`` refuses to sweep it twice, since
+    some nodes consume what they saved. Make a fresh one per step.
     """
 
     def __init__(self):
         self.nodes: list[tuple[Tensor, object]] = []  # (output, backward fn)
+        self.swept = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -120,9 +129,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     A leaf ``loss`` does not reach keeps its ``grad``: zeros for an adapter
     set's views, None for a standalone tensor. Forward data is never touched.
+    A second sweep of one tape is a ``ContractError``: it would add every
+    gradient again, from saved arrays the first sweep overwrote.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape.swept:
+        raise ContractError("backward: this tape was already swept; record a fresh one")
+    tape.swept = True
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
         for out, fn in reversed(tape.nodes):
@@ -294,14 +308,19 @@ def take_rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
 
     def bwd(g, a=a, idx=idx):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        if np.unique(idx).size == idx.size:
-            a.grad[idx] += g  # no repeats, so the buffered add loses nothing
-        else:
-            np.add.at(a.grad, idx, g)
+        _scatter_rows(a, idx, g)
 
     return _record(Tensor(a.data[idx]), _tape_for(a), bwd)
+
+
+def _scatter_rows(a: Tensor, idx: np.ndarray, g: np.ndarray) -> None:
+    """Add row i of g into row idx[i] of a's grad; repeated indices accumulate."""
+    if a.grad is None:
+        a.grad = np.zeros_like(a.data)
+    if np.unique(idx).size == idx.size:
+        a.grad[idx] += g  # no repeats, so the buffered add loses nothing
+    else:
+        np.add.at(a.grad, idx, g)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -388,31 +407,71 @@ def topk_gates(probs: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
     return _record(Tensor(data), _tape_for(probs), bwd), sel
 
 
+def _checked_labels(op: str, labels, m_rows: int, vocab: int) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.intp)
+    if labels.shape != (m_rows,):
+        raise ContractError(f"{op}: labels {labels.shape} do not match {m_rows} rows")
+    if labels.size and (labels.min() < 0 or labels.max() >= vocab):
+        raise ContractError(f"{op}: label out of vocabulary range")
+    return labels
+
+
+def _softmax_nll_(x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row negative log-likelihood of labels under softmax(x); x itself
+    becomes softmax(x), so the only new arrays are per row."""
+    picked = x[np.arange(x.shape[0]), labels]
+    mx = x.max(axis=1, keepdims=True)
+    np.subtract(x, mx, out=x)
+    np.exp(x, out=x)
+    z = x.sum(axis=1, keepdims=True)
+    np.divide(x, z, out=x)
+    return (np.log(z[:, 0]) + mx[:, 0]) - picked
+
+
+def _nll_grad_(p: np.ndarray, labels: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The logits' gradient of g times the mean NLL, written over the saved
+    softmax p (which is consumed): (g/m) * (p - onehot(labels))."""
+    p[np.arange(p.shape[0]), labels] -= 1.0
+    np.multiply(g / labels.size, p, out=p)
+    return p
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood of integer labels under softmax(logits)."""
     if logits.ndim != 2:
         raise ContractError(f"cross_entropy: need 2-D logits, got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.intp)
-    m_rows = logits.shape[0]
-    if labels.shape != (m_rows,):
-        raise ContractError(
-            f"cross_entropy: labels {labels.shape} do not match {m_rows} rows"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ContractError("cross_entropy: label out of vocabulary range")
-    x = logits.data
-    mx = x.max(axis=1, keepdims=True)
-    e = np.exp(x - mx)
-    z = e.sum(axis=1, keepdims=True)
-    p = e / z
-    nll = (np.log(z[:, 0]) + mx[:, 0]) - x[np.arange(m_rows), labels]
+    labels = _checked_labels("cross_entropy", labels, *logits.shape)
+    p = logits.data.copy()
+    nll = _softmax_nll_(p, labels)
 
-    def bwd(g, logits=logits, p=p, labels=labels, m_rows=m_rows):
-        d = p.copy()
-        d[np.arange(m_rows), labels] -= 1.0
-        _accum(logits, (g / m_rows) * d)
+    def bwd(g, logits=logits, p=p, labels=labels):
+        _accum(logits, _nll_grad_(p, labels, g))
 
-    return _record(Tensor(np.asarray(nll.mean(), dtype=x.dtype)), _tape_for(logits), bwd)
+    return _record(Tensor(np.asarray(nll.mean(), dtype=p.dtype)), _tape_for(logits), bwd)
+
+
+def target_cross_entropy(h: Tensor, positions, w: Tensor, labels) -> Tensor:
+    """``cross_entropy(matmul(take_rows(h, positions), Tensor(w.T)), labels)`` as
+    one op, for a frozen head ``w`` [vocab, d]: the same array ops in the same
+    order, so the same bits, but the [rows, vocab] logits are one array, the
+    saved softmax, which backward overwrites with the logit gradient."""
+    if h.ndim != 2 or w.ndim != 2 or w.shape[1] != h.shape[1]:
+        raise ContractError(f"target_cross_entropy: hidden {h.shape} vs head {w.shape}")
+    if w.requires_grad:
+        raise ContractError("target_cross_entropy: the head must be frozen")
+    idx = np.asarray(positions, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ContractError(f"target_cross_entropy: need 1-D positions, got {idx.shape}")
+    labels = _checked_labels("target_cross_entropy", labels, idx.size, w.shape[0])
+    rows = h.data[idx]
+    _count_matmul(idx.size, w.shape[1], w.shape[0])
+    p = rows @ w.data.T
+    nll = _softmax_nll_(p, labels)
+
+    def bwd(g, h=h, idx=idx, w=w, p=p, labels=labels):
+        _scatter_rows(h, idx, _nll_grad_(p, labels, g) @ w.data)
+
+    return _record(Tensor(np.asarray(nll.mean(), dtype=p.dtype)), _tape_for(h), bwd)
 
 
 def dropout_mask(shape, dtype, p: float, rng: np.random.Generator | None

@@ -117,20 +117,24 @@ def test_mode_equivalence_raises_when_one_mode_is_perturbed(perturb):
 
 
 OPS = ("train_step", "serve")
-MODE_KEYS = {"median_ms", "tokens_per_s", "block_flops"}
+MODE_KEYS = {"median_ms", "iqr_ms", "tokens_per_s", "minor_faults", "block_flops"}
+REPORT_KEYS = {"config_hash", "host", "precision", "timed_iters", "base_flop_ratio", "ops",
+               "memory"}
 
 
 def assert_bench_schema(result, rounds):
-    assert set(result) == {"config_hash", "host", "precision", "timed_iters",
-                           "base_flop_ratio", "ops", "memory"}
+    assert set(result) == REPORT_KEYS
     assert result["precision"] == "f32" and result["timed_iters"] == rounds
-    assert set(result["host"]) == {"numpy", "cpu_count", "threads"}
+    assert set(result["host"]) == {"numpy", "blas", "cpu_count", "threads"}
+    assert result["host"]["blas"] is None or set(result["host"]["blas"]) == {
+        "name", "version", "openblas configuration"}
     assert set(result["ops"]) == set(OPS)
     for entry in result["ops"].values():
         assert entry["max_abs_logit_diff"] < 1e-4
         for mode in ("vanilla", "optimized"):
             assert set(entry[mode]) == MODE_KEYS
             assert entry[mode]["median_ms"] > 0 and entry[mode]["tokens_per_s"] > 0
+            assert entry[mode]["iqr_ms"] >= 0 and entry[mode]["minor_faults"] >= 0
         assert len(entry["ratios"]) == rounds and entry["median_ratio"] > 0
         base = Fraction(entry["optimized"]["block_flops"]["base"],
                         entry["vanilla"]["block_flops"]["base"])
@@ -160,6 +164,8 @@ def test_committed_bench_config_and_baseline():
     assert (config.d_model, config.d_ff, len(config.tasks), config.batch_size,
             config.seed) == (512, 1376, 4, 16, 0)
     result = json.loads((ROOT / "BENCH_baseline.json").read_text())
+    assert result.pop("argv") == ["mixlora", "bench", "--config", "tools/bench-d512.json",
+                                  "--timed-iters", str(result["timed_iters"])]
     assert_bench_schema(result, rounds=result["timed_iters"])
     assert result["config_hash"] == config_hash(config)
 

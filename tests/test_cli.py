@@ -145,6 +145,8 @@ def test_bench(config_path, capsys):
     result = json.loads(out)
     assert set(result["ops"]) == {"train_step", "serve"}
     assert "memory" in result
+    assert result["argv"] == ["mixlora", "bench", "--config", config_path,
+                              "--timed-iters", "1"]
 
 
 def test_sweep_sequential(config_path, capsys):

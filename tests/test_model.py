@@ -8,9 +8,10 @@ import pytest
 from mixlora.config import ModelConfig, frozen_parameter_count, trainable_parameter_count
 from mixlora.errors import ConfigError, ContractError
 from mixlora.model import AdapterSet, FrozenBase, build_model, model_loss
+from mixlora.moe import aux_loss
 from mixlora.multitask import MultiTaskEngine, memory_census
 from mixlora.numerics import (
-    Tape, Tensor, add, backward, causal_attention, layer_norm, mul,
+    Tape, Tensor, add, backward, causal_attention, cross_entropy, layer_norm, mul,
 )
 from mixlora.tasks import Batch
 from mixlora.train import train_step
@@ -233,6 +234,38 @@ def test_every_trainable_parameter_gradient(rng):
         worst = max(worst, err)
         assert err < 1e-4, f"{name}: rel err {err:.2e}"
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["vanilla", "optimized"])
+def test_model_loss_equals_the_logits_chain_bitwise(rng, mode):
+    # The task loss through logits_at and cross_entropy, as before the fused
+    # op, at d16 with dropout on, so both paths draw the same masks.
+    config = dataclasses.replace(SMALL, d_model=16, n_layers=2, d_ff=24, dropout_p=0.1)
+    batch = make_batch(rng, config, n_seqs=3, seq_len=7)
+    adapters = rng.normal(0.0, 0.2, trainable_parameter_count(config))
+
+    def step(loss_of):
+        model = build_model(config, seed=8)
+        model.adapters.data[...] = adapters
+        tape = Tape()
+        with tape:
+            task, total = loss_of(model)
+        backward(tape, total)
+        return task.data, model.adapters.grad
+
+    def chain(model):
+        logits, stats = model.logits_at(batch.tokens, batch.positions, mode, training=True)
+        task = cross_entropy(logits, batch.labels)
+        aux = [aux_loss(st, config.n_experts, config.aux_coef) for st in stats]
+        return task, add(task, add(aux[0], aux[1]))
+
+    def fused(model):
+        out = model_loss(model, batch, mode, training=True)
+        return out.task, out.total
+
+    (task, grad), (want_task, want_grad) = step(fused), step(chain)
+    assert np.array_equal(task, want_task) and np.array_equal(grad, want_grad)
+    assert grad.any()
 
 
 # ---------------------------------------------------------------------------

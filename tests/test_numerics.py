@@ -20,6 +20,7 @@ from mixlora.numerics import (
     sum_all,
     sum_axis0,
     take_rows,
+    target_cross_entropy,
     topk_gates,
     transpose,
 )
@@ -198,6 +199,18 @@ def test_backward_requires_scalar_loss():
         backward(tape, y)
 
 
+def test_backward_refuses_a_second_sweep(rng):
+    h = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    tape = Tape()
+    with tape:
+        loss = target_cross_entropy(h, [2, 0], Tensor(rng.normal(size=(5, 3))), [4, 1])
+    backward(tape, loss)
+    first = h.grad.copy()
+    with pytest.raises(ContractError, match="already swept"):
+        backward(tape, loss)
+    assert np.array_equal(h.grad, first) and loss.grad == 1.0
+
+
 def test_unreachable_leaf_keeps_no_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
     y = Tensor(np.ones(3), requires_grad=True)
@@ -240,6 +253,8 @@ RECORDING_OPS = {
     "causal_attention": ([(2, 2)] * 3, lambda q, k, v: causal_attention(q, k, v, 1, 1)),
     "topk_gates": ([(2, 2)], lambda p: topk_gates(p, 1)[0]),
     "cross_entropy": ([(2, 2)], lambda z: cross_entropy(z, [0, 1])),
+    "target_cross_entropy": ([(2, 2)], lambda h: target_cross_entropy(
+        h, [1, 0, 1], Tensor([[0.5, -1.0], [2.0, 0.25], [1.0, 1.0]]), [0, 2, 1])),
     "lora_delta": ([(2, 2), (1, 2), (2, 1)],
                    lambda x, a, b: lora_delta(LoraAdapter(a, b, 1, 1.0), x)),
 }
@@ -405,6 +420,77 @@ def test_cross_entropy_gradient(rng):
 def test_cross_entropy_label_bounds():
     with pytest.raises(ContractError):
         cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+
+
+# ---------------------------------------------------------------------------
+# the fused training loss
+# ---------------------------------------------------------------------------
+
+
+def chain_target_loss(h, idx, w, labels):
+    """The chain ``target_cross_entropy`` replaced: gather, head GEMM, loss."""
+    return cross_entropy(matmul(take_rows(h, idx), Tensor(w.data.T)), labels)
+
+
+def taped_loss_and_grad(op, h_data, idx, w, labels):
+    h = Tensor(h_data.copy(), requires_grad=True)
+    tape = Tape()
+    with tape:
+        loss = op(h, idx, w, labels)
+    backward(tape, loss)
+    return loss.data, h.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("repeats", [False, True])  # True takes np.add.at
+def test_target_cross_entropy_equals_the_chain_bitwise(rng, dtype, repeats):
+    h = rng.normal(size=(40, 16)).astype(dtype)
+    w = Tensor(rng.normal(size=(300, 16)).astype(dtype))
+    idx = rng.choice(40, size=25, replace=repeats)
+    assert (np.unique(idx).size < idx.size) == repeats
+    labels = rng.integers(0, 300, size=25)
+    fused = taped_loss_and_grad(target_cross_entropy, h, idx, w, labels)
+    chain = taped_loss_and_grad(chain_target_loss, h, idx, w, labels)
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+
+def test_target_cross_entropy_signed_zeros_match_the_chain():
+    # Row 0 saturates: its softmax is exactly one-hot at the label, so its
+    # logit gradient is all +0, and the all-negative head makes every product
+    # of the gradient GEMM -0.0. Row 3 is never gathered.
+    w = Tensor(np.array([[-100.0, -1.0], [-1.0, -5.0], [-2.0, -3.0]]))
+    h = np.array([[-10.0, 0.0], [0.5, -0.25], [1.0, 2.0], [0.0, 0.0]])
+    for dtype in (np.float32, np.float64):
+        wt = Tensor(w.data.astype(dtype))
+        args = (h.astype(dtype), [0, 1, 0, 2], wt, [0, 2, 0, 1])
+        fused = taped_loss_and_grad(target_cross_entropy, *args)
+        chain = taped_loss_and_grad(chain_target_loss, *args)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.signbit(fused[1][[0, 3]]).any()
+
+
+def test_target_cross_entropy_gradient(rng):
+    h = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(7, 4)))
+    grad_check(lambda: target_cross_entropy(h, [5, 0, 2, 0], w, [1, 6, 3, 3]), [h],
+               tol=1e-5)
+
+
+def test_target_cross_entropy_contract_errors():
+    h, w = Tensor(np.zeros((3, 2))), Tensor(np.zeros((5, 2)))
+    with pytest.raises(ContractError, match=r"hidden \(3, 2\) vs head \(5, 3\)"):
+        target_cross_entropy(h, [0], Tensor(np.zeros((5, 3))), [0])
+    with pytest.raises(ContractError, match="head must be frozen"):
+        target_cross_entropy(h, [0], Tensor(w.data, requires_grad=True), [0])
+    with pytest.raises(ContractError, match=r"need 1-D positions, got \(1, 2\)"):
+        target_cross_entropy(h, [[0, 1]], w, [0, 1])
+    with pytest.raises(ContractError, match=r"labels \(1,\) do not match 2 rows"):
+        target_cross_entropy(h, [0, 1], w, [0])
+    with pytest.raises(ContractError, match="label out of vocabulary range"):
+        target_cross_entropy(h, [0, 1], w, [0, 5])
 
 
 def test_dropout_identity_when_eval_or_zero(rng):

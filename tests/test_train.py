@@ -1,11 +1,13 @@
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mixlora.config import RunConfig
 from mixlora.errors import ContractError, NumericError
+from mixlora.model import build_model
 from mixlora.multitask import MultiTaskEngine
 from mixlora.tasks import Batch
 from conftest import assert_flat_views
@@ -94,3 +96,21 @@ def test_train_records_are_the_step_records_after_their_step(monkeypatch):
     assert metrics == logged == [{"step": i, **r} for i, r in enumerate(steps)]
     assert [list(m) for m in metrics] == [
         ["step", "task_loss", "aux_loss", "total_loss", "expert_load"]] * 2
+
+
+def test_a_train_step_holds_one_logits_sized_array_at_most():
+    # The training loss forms its [targets, vocab] array once and reuses it
+    # as the softmax and the logit gradient; before, a step held five or six
+    # such arrays at its peak. Allocation sizes do not depend on the host.
+    config = dataclasses.replace(CFG, vocab_size=8192).model()
+    model = build_model(config, seed=CFG.seed)
+    batch = small_batch(np.random.default_rng(0), n_seqs=4, seq_len=16)
+    train_mod.train_step(model, batch)  # warm-up
+    tracemalloc.start()
+    try:
+        train_mod.train_step(model, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    logits_bytes = batch.positions.size * config.vocab_size * np.dtype(np.float64).itemsize
+    assert peak < 2 * logits_bytes
