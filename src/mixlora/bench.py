@@ -7,6 +7,11 @@ operations in both modes, at the config's dimensions in float32:
 ``train.train_step`` on one mixed batch, and ``multitask.multi_forward`` over
 one adapter set per configured task. The benchmark with its workloads and
 output checks lives in ``perfbench/``.
+
+At d512 and k=2, ~10 of the 21-28 points the optimized mode saves are the 2/3
+base-FLOP ratio; the rest is GEMM row count (vanilla runs W1/W3 per expert on
+its few rows), which alone saves 11-18 points at k=1, where base FLOPs are
+equal (``BENCH_k1.json``, ``BENCH_k4.json``).
 """
 
 from __future__ import annotations

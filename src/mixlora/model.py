@@ -328,10 +328,10 @@ def model_loss(model: ToyModel, batch: Batch, mode: str = "optimized",
     logits tensor; its one [targets, vocab] array becomes the logit gradient."""
     h, stats = model.hidden_states(batch.tokens, mode, training)
     task = target_cross_entropy(h, batch.positions, model.base.head.w, batch.labels)
-    n_experts, coef = model.config.n_experts, model.config.aux_coef
-    aux_total = aux_loss(stats[0], n_experts, coef)
+    coef = model.config.aux_coef
+    aux_total = aux_loss(stats[0], coef)
     for st in stats[1:]:
-        aux_total = add(aux_total, aux_loss(st, n_experts, coef))
+        aux_total = add(aux_total, aux_loss(st, coef))
     total = add(task, aux_total)
     for name, t in (("total", total), ("task", task), ("aux", aux_total)):
         if not np.isfinite(t.data):

@@ -99,10 +99,6 @@ class SharedFfn:
         self.w3 = w3
         self.w2 = w2
 
-    @property
-    def d_ff(self) -> int:
-        return self.w1.d_out
-
 
 @dataclass
 class ExpertTriple:
@@ -117,16 +113,20 @@ class ExpertTriple:
 class RoutingStats:
     """Dispatch bookkeeping for one routed batch of tokens.
 
-    dispatch_counts follows the argmax indicator (one count per token);
-    prob_sums are column sums of the full softmax probabilities and stay
+    dispatch_counts follows the argmax indicator, one count per token, so they
+    sum to ``token_count``; prob_sums are the full softmax's column sums, kept
     graph-connected so the balance loss can differentiate through them.
     topk_indices[t] lists the selected experts of token t (best first).
     """
 
-    token_count: int
     dispatch_counts: np.ndarray
     prob_sums: Tensor
     topk_indices: np.ndarray | None = None
+
+    @property
+    def token_count(self) -> int:
+        # A Python int: dividing by an np.int64 would promote f32 to f64.
+        return int(self.dispatch_counts.sum())
 
     def dispatch_fractions(self) -> np.ndarray:
         return self.dispatch_counts / self.token_count
@@ -141,11 +141,7 @@ class RoutingStats:
             raise ContractError("merge: empty stats list")
         counts = np.sum([p.dispatch_counts for p in parts], axis=0)
         sums = np.sum([p.prob_sums.data for p in parts], axis=0)
-        return RoutingStats(
-            token_count=sum(p.token_count for p in parts),
-            dispatch_counts=counts,
-            prob_sums=Tensor(sums),
-        )
+        return RoutingStats(dispatch_counts=counts, prob_sums=Tensor(sums))
 
 
 def route(router: Router, h: Tensor) -> tuple[Tensor, Tensor, RoutingStats]:
@@ -161,7 +157,6 @@ def route(router: Router, h: Tensor) -> tuple[Tensor, Tensor, RoutingStats]:
     probs = softmax_lastdim(logits)
     gates, sel = topk_gates(probs, router.top_k)
     stats = RoutingStats(
-        token_count=h.shape[0],
         dispatch_counts=np.bincount(sel[:, 0], minlength=router.n_experts),
         prob_sums=sum_axis0(probs),
         topk_indices=sel,
@@ -169,8 +164,8 @@ def route(router: Router, h: Tensor) -> tuple[Tensor, Tensor, RoutingStats]:
     return gates, probs, stats
 
 
-def aux_loss(stats: RoutingStats, n_experts: int, coef: float) -> Tensor:
-    """Balance penalty coef * N * sum_i F_i P_i.
+def aux_loss(stats: RoutingStats, coef: float) -> Tensor:
+    """Balance penalty coef * N * sum_i F_i P_i, N the length of the counts.
 
     F is the (constant) argmax dispatch fraction; gradients flow through the
     mean probabilities only. Minimized, at value coef, when both are uniform.
@@ -180,7 +175,7 @@ def aux_loss(stats: RoutingStats, n_experts: int, coef: float) -> Tensor:
         raise ContractError("aux_loss: stats cover zero tokens")
     dtype = stats.prob_sums.dtype
     f = stats.dispatch_counts.astype(dtype) / t
-    weights = Tensor(((coef * n_experts) / t) * f)
+    weights = Tensor(((coef * stats.dispatch_counts.size) / t) * f)
     return sum_all(mul(stats.prob_sums, weights))
 
 
@@ -206,7 +201,6 @@ class MixLoraBlock:
         self.router = router
         self.ffn = ffn
         self.experts = experts
-        self.n_experts = len(experts)
         self.layer_index = layer_index
 
     def forward(self, h: Tensor, mode: str, rng: np.random.Generator | None = None
@@ -225,14 +219,14 @@ class MixLoraBlock:
             flat = sel.ravel()
             order = np.argsort(flat, kind="stable")
             tok, col = order // top_k, flat[order]  # token and expert of each sorted row
-            counts = np.bincount(flat, minlength=self.n_experts)
+            counts = np.bincount(flat, minlength=len(triples))
             bounds = np.concatenate(([0], np.cumsum(counts)))
-            segs = [(e, bounds[e], bounds[e + 1]) for e in range(self.n_experts)
+            segs = [(e, bounds[e], bounds[e + 1]) for e in range(len(triples))
                     if bounds[e] < bounds[e + 1]]
             params = [t for tri in triples for ad in (tri.w1, tri.w3, tri.w2)
                       for t in (ad.a, ad.b)]
             tape = _tape_for(h, gates, *params)
-            x, dff = h.data, ffn.d_ff
+            x, dff = h.data, ffn.w1.d_out
             if shared_base:
                 h1_all, h3_all = _base(ffn.w1, x, "w1"), _base(ffn.w3, x, "w3")
             saved, mids, d2s = [], [], []
@@ -268,8 +262,6 @@ class MixLoraBlock:
             # the k rows of ys at inv[t].
             inv = np.argsort(order).reshape(n_tok, top_k)
             out = Tensor(ys[inv].sum(axis=1))
-        if tape is None:
-            return out, stats
 
         def bwd(g):  # keeps tok, col, saved, y and gate
             gy = g[tok]

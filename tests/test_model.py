@@ -256,7 +256,7 @@ def test_model_loss_equals_the_logits_chain_bitwise(rng, mode):
     def chain(model):
         logits, stats = model.logits_at(batch.tokens, batch.positions, mode, training=True)
         task = cross_entropy(logits, batch.labels)
-        aux = [aux_loss(st, config.n_experts, config.aux_coef) for st in stats]
+        aux = [aux_loss(st, config.aux_coef) for st in stats]
         return task, add(task, add(aux[0], aux[1]))
 
     def fused(model):

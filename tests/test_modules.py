@@ -1,7 +1,8 @@
-"""Package structure: every module has its own test file, and the imports
-between modules form no cycle."""
+"""Package structure: every module has its own test file, the imports
+between modules form no cycle, and the package root re-exports nothing."""
 
 import ast
+import types
 from pathlib import Path
 
 import mixlora
@@ -49,3 +50,16 @@ def test_module_imports_form_no_cycle_and_tasks_imports_only_errors():
     for module in sorted(graph):
         visit(module)
     assert graph["tasks"] == {"errors"}
+
+
+def test_package_root_holds_only_its_docstring_and_version():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(tree))
+    assert ast.get_docstring(tree)
+    [version] = tree.body[1:]
+    assert isinstance(version, ast.Assign)
+    assert [t.id for t in version.targets] == ["__version__"]
+    # No package-level name shadows a submodule: mixlora.train is the module.
+    import mixlora.train
+
+    assert isinstance(mixlora.train, types.ModuleType)

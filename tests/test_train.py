@@ -1,10 +1,10 @@
 import dataclasses
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mixlora.train as train_mod
 from mixlora.config import RunConfig
 from mixlora.errors import ContractError, NumericError
 from mixlora.model import build_model
@@ -12,8 +12,6 @@ from mixlora.multitask import MultiTaskEngine
 from mixlora.tasks import Batch
 from conftest import assert_flat_views
 
-# The package re-exports the train() function under the submodule's name.
-train_mod = importlib.import_module("mixlora.train")
 
 CFG = RunConfig(
     d_model=16, n_heads=2, d_ff=24, n_layers=1, n_experts=4, top_k=2,
